@@ -215,6 +215,28 @@ impl ProgramCheckResult {
     }
 }
 
+/// Merges a separately checked batch into `store`: appends `from` (the store
+/// the batch's `methods` were checked against) and shifts every inserted
+/// check's store-backed types to the ids they got in `store`.  The parallel
+/// checker merges its worker stores this way, and an incremental driver
+/// merges re-checked methods into the store its replayed verdicts thawed
+/// into.
+pub fn absorb_checked<'r>(
+    store: &mut TypeStore,
+    from: TypeStore,
+    methods: impl IntoIterator<Item = &'r mut MethodCheckResult>,
+) {
+    let shift = store.absorb(from);
+    for method in methods {
+        for check in &mut method.checks {
+            check.expected_return = shift.apply(&check.expected_return);
+            if let Some(consistency) = &mut check.consistency {
+                consistency.expected = shift.apply(&consistency.expected);
+            }
+        }
+    }
+}
+
 /// The type checker.
 ///
 /// The environment (`env`) and program are shared, immutable inputs; the
@@ -368,9 +390,10 @@ impl<'a> TypeChecker<'a> {
     }
 
     /// The methods a `check_labeled(label)` run would select, in program
-    /// order.  Exposed so incremental drivers (see `corpus::incremental`)
-    /// can partition the work list into replayable and must-check subsets
-    /// before deciding what to hand to [`TypeChecker::check_methods`].
+    /// order.  Exposed so incremental drivers (see the `corpus` crate's
+    /// per-app pipeline) can partition the work list into replayable and
+    /// must-check subsets before deciding what to hand to
+    /// [`TypeChecker::check_methods_parallel`].
     pub fn labeled_methods<'p>(
         env: &CompRdl,
         program: &'p Program,
@@ -404,15 +427,8 @@ impl<'a> TypeChecker<'a> {
         ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
     }
 
-    /// Like [`TypeChecker::check_labeled`], but checks methods concurrently:
-    /// `threads` scoped workers pull methods off a shared work queue
-    /// (work stealing — a worker that finishes a cheap method immediately
-    /// grabs the next), each with its own [`TypeStore`] and comp-type cache,
-    /// while the class table, annotations and helpers are shared by
-    /// reference.  Per-worker stores are merged afterwards (shifting the
-    /// store ids referenced by the inserted dynamic checks), and the
-    /// per-method results are returned in program order, so the output is
-    /// deterministic regardless of how the work was distributed.
+    /// Like [`TypeChecker::check_labeled`], but checks methods concurrently
+    /// on `threads` workers; see [`TypeChecker::check_methods_parallel`].
     pub fn check_labeled_parallel(
         env: &CompRdl,
         program: &Program,
@@ -420,46 +436,52 @@ impl<'a> TypeChecker<'a> {
         label: &str,
         threads: usize,
     ) -> ProgramCheckResult {
-        Self::check_labeled_parallel_with_effects(env, program, options, label, threads, &[])
+        let selected = Self::select_labeled(env, program, label);
+        Self::check_methods_parallel(env, program, options, &selected, threads, &[])
     }
 
-    /// Like [`TypeChecker::check_labeled_parallel`], but installs the given
-    /// inferred effect summaries into every worker's effect environment
-    /// (below the explicit layer) before checking.  `CheckOptions` is a
-    /// `Copy` bag of flags, so the summaries travel as a separate argument
-    /// shared by reference across the worker threads.
-    pub fn check_labeled_parallel_with_effects(
+    /// Like [`TypeChecker::check_methods`], but checks the methods
+    /// concurrently: `threads` scoped workers pull methods off a shared work
+    /// queue (work stealing — a worker that finishes a cheap method
+    /// immediately grabs the next), each with its own [`TypeStore`] and
+    /// comp-type cache, while the class table, annotations and helpers are
+    /// shared by reference.  Every worker installs the given inferred effect
+    /// summaries below its explicit effect layer.  Per-worker stores are
+    /// merged afterwards with [`absorb_checked`], and the per-method results
+    /// are returned in the given order, so the output is deterministic
+    /// regardless of how the work was distributed.
+    pub fn check_methods_parallel(
         env: &CompRdl,
         program: &Program,
         options: CheckOptions,
-        label: &str,
+        selected: &[(String, &MethodDef)],
         threads: usize,
         effects: &[InferredEffect],
     ) -> ProgramCheckResult {
-        let selected = Self::select_labeled(env, program, label);
-        let workers = threads.clamp(1, selected.len().max(1));
-        if workers <= 1 {
+        let checker = || {
             let mut checker = TypeChecker::new(env, program, options);
             checker.install_inferred_effects(effects);
-            return checker.check_labeled(label);
+            checker
+        };
+        let workers = threads.clamp(1, selected.len().max(1));
+        if workers <= 1 {
+            return checker().check_methods(selected);
         }
 
         // One worker's output: indexed method results, its private store,
         // and its cache counters.
         type WorkerOutput = (Vec<(usize, MethodCheckResult)>, TypeStore, CacheStats);
         let next = AtomicUsize::new(0);
-        let selected_ref = &selected;
         let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     scope.spawn(move || {
-                        let mut checker = TypeChecker::new(env, program, options);
-                        checker.install_inferred_effects(effects);
+                        let mut checker = checker();
                         let mut out = Vec::new();
                         loop {
                             let idx = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((owner, def)) = selected_ref.get(idx) else { break };
+                            let Some((owner, def)) = selected.get(idx) else { break };
                             out.push((idx, checker.check_method_def(owner, def)));
                         }
                         (out, checker.store, checker.cache.stats())
@@ -473,16 +495,10 @@ impl<'a> TypeChecker<'a> {
         let mut cache_stats = CacheStats::default();
         let mut merged: Vec<Option<MethodCheckResult>> =
             (0..selected.len()).map(|_| None).collect();
-        for (results, worker_store, worker_stats) in worker_outputs {
-            let shift = store.absorb(worker_store);
+        for (mut results, worker_store, worker_stats) in worker_outputs {
+            absorb_checked(&mut store, worker_store, results.iter_mut().map(|(_, r)| r));
             cache_stats = cache_stats.merged(worker_stats);
-            for (idx, mut result) in results {
-                for check in &mut result.checks {
-                    check.expected_return = shift.apply(&check.expected_return);
-                    if let Some(consistency) = &mut check.consistency {
-                        consistency.expected = shift.apply(&consistency.expected);
-                    }
-                }
+            for (idx, result) in results {
                 merged[idx] = Some(result);
             }
         }

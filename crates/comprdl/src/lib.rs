@@ -56,7 +56,8 @@ pub mod tlc;
 
 pub use cache::{CacheKey, CacheStats, CompPosition, CompTypeCache};
 pub use checker::{
-    CheckOptions, ErrorCategory, MethodCheckResult, ProgramCheckResult, TypeChecker, TypeErrorInfo,
+    absorb_checked, CheckOptions, ErrorCategory, MethodCheckResult, ProgramCheckResult,
+    TypeChecker, TypeErrorInfo,
 };
 pub use env::CompRdl;
 pub use memo::{memo_namespace, MemoKey, MemoStats, MemoTable, NamespaceStats, SharedMemo};

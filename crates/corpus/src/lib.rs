@@ -30,6 +30,7 @@ pub mod fault;
 pub mod harness;
 pub mod incremental;
 pub mod lints;
+mod pipeline;
 
 pub use app::App;
 pub use effects::{
@@ -38,11 +39,9 @@ pub use effects::{
 };
 pub use fault::FaultPlan;
 pub use harness::{
-    corpus_diagnostics, evaluate_app, evaluate_app_shared, evaluate_app_with, evaluate_overhead,
-    evaluate_overhead_shared, format_diagnostic_summary, format_memo_stats, format_overhead,
-    format_table1, format_table2, render_runtime_blames, stable_report, table1, table2,
-    table2_overhead, table2_overhead_shared, table2_parallel, table2_parallel_faulted,
-    table2_parallel_shared, HarnessError, OverheadRow, Table1Row, Table2Row,
+    corpus_diagnostics, evaluate_app_shared, format_diagnostic_summary, format_memo_stats,
+    format_overhead, format_table1, format_table2, render_runtime_blames, stable_report, table1,
+    table2, table2_overhead, table2_parallel, HarnessError, OverheadRow, Table1Row, Table2Row,
 };
 pub use incremental::{
     evaluate_app_incremental, table2_incremental, with_broken_method, with_layout_noise,
@@ -121,7 +120,9 @@ mod tests {
     #[test]
     fn parallel_table2_output_is_byte_identical_to_sequential() {
         let sequential = table2().expect("sequential harness");
-        let parallel = table2_parallel().expect("parallel harness");
+        let parallel =
+            table2_parallel(&std::sync::Arc::new(comprdl::SharedMemo::new()), &FaultPlan::none())
+                .expect("parallel harness");
         assert_eq!(
             stable_report(&sequential),
             stable_report(&parallel),
@@ -131,7 +132,8 @@ mod tests {
 
     #[test]
     fn overhead_rows_cover_the_whole_corpus_and_pass_the_gate() {
-        let rows = table2_overhead().expect("overhead harness (includes the blame-set gate)");
+        let rows = table2_overhead(&std::sync::Arc::new(comprdl::SharedMemo::new()))
+            .expect("overhead harness (includes the blame-set gate)");
         assert_eq!(rows.len(), 8, "eight apps: the paper's six plus Redmine and Sequel");
         for row in &rows {
             assert!(row.checks_run > 0, "{}: no dynamic checks executed", row.program);
@@ -169,6 +171,26 @@ mod tests {
         let rendered = format_overhead(&rows);
         assert!(rendered.contains("Redmine"), "{rendered}");
         assert!(rendered.contains("Overhead across the corpus"), "{rendered}");
+    }
+
+    #[test]
+    fn overhead_and_table2_drivers_agree_on_checks_and_blames() {
+        // Both drivers run each suite through the same checked-suite stage,
+        // so the overhead row's memoized run must execute exactly the
+        // checks, and raise exactly the blames, of the Table 2 row.
+        let rows = table2().expect("harness");
+        let overhead = table2_overhead(&std::sync::Arc::new(comprdl::SharedMemo::new()))
+            .expect("overhead harness");
+        assert_eq!(rows.len(), overhead.len());
+        for (row, o) in rows.iter().zip(&overhead) {
+            assert_eq!(row.program, o.program, "both drivers run in corpus order");
+            assert_eq!(
+                (o.checks_run, o.blames),
+                (row.dynamic_checks_run, row.runtime_blames.len()),
+                "{}: overhead and Table 2 drivers disagree on (checks, blames)",
+                row.program
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! harness, and incremental break/repair/corruption durability.
 
 use corpus::{
-    evaluate_app_incremental, evaluate_app_shared, stable_report, table2_parallel_faulted,
-    table2_parallel_shared, with_broken_method, App, FaultPlan,
+    evaluate_app_incremental, evaluate_app_shared, stable_report, table2_parallel,
+    with_broken_method, App, FaultPlan,
 };
 use std::sync::Arc;
 
@@ -254,11 +254,11 @@ fn one_broken_method_per_app_leaves_every_other_verdict_byte_identical() {
 /// single distinctly-rendered `ICE0001` diagnostic.
 #[test]
 fn injected_worker_panics_degrade_to_ice_rows_without_aborting() {
-    let baseline = table2_parallel_shared(&fresh_memo()).expect("unfaulted parallel run");
+    let baseline =
+        table2_parallel(&fresh_memo(), &FaultPlan::none()).expect("unfaulted parallel run");
     let plan = FaultPlan::seeded(0xf001, 2);
     assert_eq!(plan.len(), 2);
-    let faulted =
-        table2_parallel_faulted(&fresh_memo(), &plan).expect("a worker panic must not abort");
+    let faulted = table2_parallel(&fresh_memo(), &plan).expect("a worker panic must not abort");
     assert_eq!(faulted.len(), baseline.len());
 
     for (healthy, row) in baseline.iter().zip(&faulted) {

@@ -34,6 +34,7 @@ use crate::ty::{HashKey, SingVal, Type};
 /// Entries are keyed on interned type ids plus the class-table stamp, so
 /// a verdict can never outlive the exact hierarchy it was computed under.
 pub mod verdict_cache {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Mutex, OnceLock};
 
@@ -104,6 +105,30 @@ pub mod verdict_cache {
         pub inserts: u64,
         /// Occupied slots overwritten by an unrelated key.
         pub evictions: u64,
+    }
+
+    thread_local! {
+        /// The calling thread's share of the counters above.
+        static THREAD_STATS: Cell<VerdictCacheStats> = const {
+            Cell::new(VerdictCacheStats { hits: 0, misses: 0, inserts: 0, evictions: 0 })
+        };
+    }
+
+    /// Bumps one global counter and the calling thread's share of it.
+    fn count(global: &AtomicU64, field: fn(&mut VerdictCacheStats) -> &mut u64) {
+        global.fetch_add(1, Ordering::Relaxed);
+        THREAD_STATS.with(|t| {
+            let mut s = t.get();
+            *field(&mut s) += 1;
+            t.set(s);
+        });
+    }
+
+    /// [`stats`] counted on the calling thread only.  Queries on other
+    /// threads never move these, so a test can assert on its own queries
+    /// while other tests share the cache.
+    pub fn thread_stats() -> VerdictCacheStats {
+        THREAD_STATS.with(Cell::get)
     }
 
     /// Current cumulative counters.
@@ -206,7 +231,7 @@ pub mod verdict_cache {
             (i, true)
         });
         if evicts {
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            count(&EVICTIONS, |s| &mut s.evictions);
         }
         let slot = &shard.slots[idx];
         // Seqlock write: odd seq while the fields are inconsistent.
@@ -215,15 +240,15 @@ pub mod verdict_cache {
         slot.stamp.store(stamp, Ordering::Release);
         slot.verdict.store(u64::from(verdict), Ordering::Release);
         slot.seq.fetch_add(1, Ordering::Release);
-        INSERTS.fetch_add(1, Ordering::Relaxed);
+        count(&INSERTS, |s| &mut s.inserts);
     }
 
     pub(super) fn note_hit() {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        count(&HITS, |s| &mut s.hits);
     }
 
     pub(super) fn note_miss() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        count(&MISSES, |s| &mut s.misses);
     }
 }
 
@@ -713,6 +738,7 @@ mod tests {
             Type::Generic { base: "Class".into(), args: vec![Type::nominal("User")] },
         ];
         // Twice, so the second pass reads a warm verdict cache.
+        let before = verdict_cache::thread_stats();
         for round in 0..2 {
             for a in &samples {
                 for b in &samples {
@@ -724,9 +750,10 @@ mod tests {
                 }
             }
         }
-        // The warm pass must actually have hit the cache.
-        let warm = verdict_cache::stats();
-        assert!(warm.hits > 0, "expected verdict-cache hits, got {warm:?}");
+        // The warm pass must actually have hit the cache: counted on this
+        // thread, so other tests' queries cannot satisfy the assertion.
+        let hits = verdict_cache::thread_stats().hits - before.hits;
+        assert!(hits > 0, "expected verdict-cache hits on this thread, got {hits}");
     }
 
     #[test]

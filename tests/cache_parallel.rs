@@ -4,8 +4,9 @@
 //! checker must produce **byte-identical** diagnostic bags to the
 //! uncached / sequential baseline.
 
-use comprdl::{CheckOptions, TypeChecker};
+use comprdl::{CheckOptions, SharedMemo, TypeChecker};
 use diagnostics::DiagnosticBag;
+use std::sync::Arc;
 use test_rng::Rng;
 
 /// Canonical byte rendering of a check result's diagnostics (code, message
@@ -103,17 +104,22 @@ fn parallel_checking_is_byte_identical_to_sequential_across_the_corpus() {
 fn evaluate_app_rows_render_identically_for_any_thread_count() {
     // The harness-level guarantee behind `table2_parallel`: a Table 2 row's
     // deterministic columns and sorted diagnostics do not depend on how
-    // many threads checked the app.
-    let apps = corpus::apps::all();
-    // Journey: the app with two seeded bugs.
-    let app = apps.iter().find(|a| a.name == "Journey").expect("journey app");
-    let base = corpus::evaluate_app(app).expect("evaluate");
-    for threads in [2, 4, 8] {
-        let row = corpus::evaluate_app_with(app, threads).expect("evaluate");
-        assert_eq!(
-            corpus::stable_report(std::slice::from_ref(&base)),
-            corpus::stable_report(std::slice::from_ref(&row)),
-            "thread count {threads} changed the rendered row"
-        );
+    // many threads checked and linted the app — for every app, including
+    // Journey (two seeded bugs) and Sequel (runtime blames).
+    let evaluate = |app: &corpus::App, threads: usize| {
+        let row = corpus::evaluate_app_shared(app, threads, &Arc::new(SharedMemo::new()))
+            .expect("evaluate");
+        corpus::stable_report(std::slice::from_ref(&row))
+    };
+    for app in corpus::apps::all() {
+        let base = evaluate(&app, 1);
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                base,
+                evaluate(&app, threads),
+                "{}: thread count {threads} changed the rendered row",
+                app.name
+            );
+        }
     }
 }
