@@ -25,7 +25,7 @@ use rdl_types::{
     HashKey, MethodKind, MethodSig, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
 };
 use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, Span};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -327,18 +327,17 @@ impl<'a> TypeChecker<'a> {
     ) -> Vec<EffectViolation> {
         let mut inferred = crate::termination::EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
-        let mut annotated: Vec<_> = env.annotations.iter().collect();
-        annotated.sort_by_key(|((class, kind, name), _)| {
-            (class.clone(), name.clone(), *kind == MethodKind::Singleton)
-        });
+        // One entry per annotated program method, anchored at its first
+        // definition in program order.
+        let mut annotated = BTreeMap::new();
+        for (owner, def) in program.methods() {
+            let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
+            if let Some(sig) = env.annotations.get_exact(&owner, kind, &def.name) {
+                annotated.entry((owner, def.name.as_str(), def.singleton)).or_insert((sig, def));
+            }
+        }
         let mut out = Vec::new();
-        for ((class, kind, name), sig) in annotated {
-            let singleton = *kind == MethodKind::Singleton;
-            let Some((_, def)) = program.methods().into_iter().find(|(owner, def)| {
-                def.name == *name && def.singleton == singleton && owner == class
-            }) else {
-                continue;
-            };
+        for ((_, name, _), (sig, def)) in annotated {
             let Some(inf) = inferred.inferred(name) else { continue };
             out.extend(crate::termination::annotation_conflicts(
                 name, sig.term, sig.purity, inf, def.span,

@@ -22,6 +22,13 @@
 //! edge to each.  Over-approximation costs a spurious re-check; it never
 //! costs soundness.
 //!
+//! The graph is sized to the program, not to the environment: besides the
+//! program methods and the (few dozen) helpers, it materialises only the
+//! annotation nodes a program method calls by name — the only nodes a
+//! program method can reach — and it computes Merkle hashes for program
+//! methods alone.  An environment of hundreds of library annotations costs
+//! a name filter, not a node and a traversal each.
+//!
 //! [`env_hash`] digests the rest of the environment (class hierarchy,
 //! method/ivar/gvar annotations).  Helper *bodies* are intentionally
 //! excluded from it: a helper edit must invalidate only the methods that
@@ -31,7 +38,7 @@ use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
 use rdl_types::{MethodKind, MethodSig, TypeExpr};
 use ruby_syntax::{method_hash, Expr, ExprKind, MethodDef, Program, SemHasher};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
 /// that affects check verdicts.  Native helpers have no AST to hash, so this
@@ -44,8 +51,7 @@ pub type MethodId = (String, String, bool);
 /// One node of the graph — a program method, an annotated library-method
 /// signature, or a comp-type helper.  The three kinds share a
 /// representation; what distinguishes them is which index map
-/// (`DepGraph::methods` / `helpers` / `Builder::annotations`) points at
-/// them.
+/// (`DepGraph::methods` / `helpers`) points at them, if any.
 #[derive(Debug)]
 struct Node {
     /// Structural hash of this node alone (no dependencies).
@@ -61,88 +67,99 @@ pub struct DepGraph {
     nodes: Vec<Node>,
     methods: BTreeMap<MethodId, usize>,
     helpers: BTreeMap<String, usize>,
-    /// Memoized reachable-base-hash sets per node.
+    /// The Merkle hash of every program-method node.  Method nodes come
+    /// first in `nodes`, so this is indexed by node index.
     merkles: Vec<u64>,
 }
 
 impl DepGraph {
     /// Builds the dependency graph for `program` checked under `env`.
     pub fn build(env: &CompRdl, program: &Program) -> DepGraph {
-        let mut b = Builder::default();
+        let mut nodes = Vec::new();
+        let mut methods = BTreeMap::new();
+        let mut helpers = BTreeMap::new();
 
-        // Helper nodes first: Ruby helpers hash structurally, native helpers
-        // by name + revision tag.
-        for (name, def) in env.helpers.ruby_defs() {
-            b.add_helper(name, method_hash(def));
+        // Program method nodes first, so their indices are `0..merkles.len()`.
+        // A redefinition's node replaces the earlier one in `methods`, and
+        // the calls of every definition leave the id's one node.
+        let defs = program.methods();
+        for (owner, def) in &defs {
+            let idx = add_node(&mut nodes, method_hash(def));
+            methods.insert((owner.clone(), def.name.clone(), def.singleton), idx);
+        }
+        let method_nodes = nodes.len();
+        let calls: Vec<(usize, BTreeSet<String>)> = defs
+            .iter()
+            .map(|(owner, def)| {
+                (methods[&(owner.clone(), def.name.clone(), def.singleton)], called_names(def))
+            })
+            .collect();
+
+        // Helper nodes: Ruby helpers hash structurally, native helpers by
+        // name + revision tag.
+        let ruby_helpers = env.helpers.ruby_defs();
+        for (name, def) in &ruby_helpers {
+            helpers.insert(name.to_string(), add_node(&mut nodes, method_hash(def)));
         }
         for name in env.helpers.native_names() {
             let mut h = SemHasher::new();
             h.write_str("native-helper");
             h.write_str(name);
             h.write_u64(u64::from(NATIVE_HELPER_REVISION));
-            b.add_helper(name, h.finish());
+            helpers.insert(name.to_string(), add_node(&mut nodes, h.finish()));
         }
         // Helper → helper edges (Ruby bodies only; natives are leaves).
-        for (name, def) in env.helpers.ruby_defs() {
-            let from = b.helpers[name];
+        for (name, def) in &ruby_helpers {
+            let from = helpers[*name];
             for callee in called_names(def) {
-                if let Some(&to) = b.helpers.get(callee.as_str()) {
-                    b.nodes[from].deps.push(to);
+                if let Some(&to) = helpers.get(callee.as_str()) {
+                    nodes[from].deps.push(to);
                 }
             }
         }
 
-        // Annotation nodes: one per annotated method signature.  Base hash
-        // covers the signature source (which embeds the comp exprs) plus its
-        // identity; edges point at every helper its comp exprs mention.
-        let mut annots: Vec<(&(String, MethodKind, String), &MethodSig)> =
-            env.annotations.iter().collect();
-        annots.sort_by_key(|(k, _)| (k.0.clone(), kind_tag(k.1), k.2.clone()));
-        for (key, sig) in &annots {
-            let idx = b.add_annotation(key, sig);
+        // Called-name → candidate-node index.
+        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+        for ((_, name, _), &idx) in &methods {
+            by_name.entry(name.as_str()).or_default().push(idx);
+        }
+
+        // Annotation nodes, one per annotated signature some program method
+        // calls by name: only a call edge can reach an annotation node, so
+        // an uncalled one is in no Merkle set.  Base hash covers the
+        // signature source (which embeds the comp exprs) plus its identity;
+        // edges point at every helper its comp exprs mention.
+        let called: HashSet<&str> =
+            calls.iter().flat_map(|(_, names)| names.iter().map(String::as_str)).collect();
+        let mut annots: Vec<(&(String, MethodKind, String), &MethodSig)> = env
+            .annotations
+            .iter()
+            .filter(|((_, _, name), _)| called.contains(name.as_str()))
+            .collect();
+        annots.sort_unstable_by_key(|(k, _)| sort_key(k));
+        for (key, sig) in annots {
+            let idx = add_node(&mut nodes, annotation_hash(key, sig));
             let mut helper_names = BTreeSet::new();
             for_each_comp_expr(sig, &mut |expr| {
                 collect_helper_refs(expr, &env.helpers, &mut helper_names);
             });
-            for hn in helper_names {
-                let to = b.helpers[&hn];
-                b.nodes[idx].deps.push(to);
-            }
+            nodes[idx].deps.extend(helper_names.iter().map(|hn| helpers[hn]));
+            by_name.entry(key.2.as_str()).or_default().push(idx);
         }
 
-        // Program method nodes, then name-based call edges.
-        let methods = program.methods();
-        for (owner, def) in &methods {
-            b.add_method((owner.clone(), def.name.clone(), def.singleton), method_hash(def));
-        }
-        // Called-name → candidate-node index, computed once.
-        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-        for ((_, name, _), &idx) in &b.methods {
-            by_name.entry(name.as_str()).or_default().push(idx);
-        }
-        for (key, _) in &annots {
-            by_name.entry(key.2.as_str()).or_default().push(b.annotations[&ann_key(key)]);
-        }
-        for (owner, def) in &methods {
-            let from = b.methods[&(owner.clone(), def.name.clone(), def.singleton)];
-            for callee in called_names(def) {
-                if let Some(cands) = by_name.get(callee.as_str()) {
-                    for &to in cands {
-                        if to != from {
-                            b.nodes[from].deps.push(to);
-                        }
+        // Name-based call edges out of every program method.
+        for (from, names) in &calls {
+            for callee in names {
+                for &to in by_name.get(callee.as_str()).into_iter().flatten() {
+                    if to != *from {
+                        nodes[*from].deps.push(to);
                     }
                 }
             }
         }
 
-        let mut g = DepGraph {
-            merkles: Vec::new(),
-            nodes: b.nodes,
-            methods: b.methods,
-            helpers: b.helpers,
-        };
-        g.merkles = (0..g.nodes.len()).map(|i| g.compute_merkle(i)).collect();
+        let mut g = DepGraph { merkles: Vec::new(), nodes, methods, helpers };
+        g.merkles = (0..method_nodes).map(|i| g.compute_merkle(i)).collect();
         g
     }
 
@@ -239,63 +256,50 @@ impl DepGraph {
     }
 }
 
-#[derive(Default)]
-struct Builder {
-    nodes: Vec<Node>,
-    methods: BTreeMap<MethodId, usize>,
-    helpers: BTreeMap<String, usize>,
-    annotations: BTreeMap<(String, u8, String), usize>,
+fn add_node(nodes: &mut Vec<Node>, base: u64) -> usize {
+    nodes.push(Node { base, deps: Vec::new() });
+    nodes.len() - 1
 }
 
-impl Builder {
-    fn add_helper(&mut self, name: &str, base: u64) {
-        let idx = self.nodes.len();
-        self.nodes.push(Node { base, deps: Vec::new() });
-        self.helpers.insert(name.to_string(), idx);
-    }
+/// The structural hash of one annotated signature: its identity, source
+/// text (which embeds the comp exprs), typecheck label and declared effects.
+fn annotation_hash(key: &(String, MethodKind, String), sig: &MethodSig) -> u64 {
+    let mut h = SemHasher::new();
+    h.write_str("annotation");
+    write_annotation(&mut h, key, sig);
+    h.finish()
+}
 
-    fn add_annotation(&mut self, key: &(String, MethodKind, String), sig: &MethodSig) -> usize {
-        let mut h = SemHasher::new();
-        h.write_str("annotation");
-        h.write_str(&key.0);
-        h.write_u8(kind_tag(key.1));
-        h.write_str(&key.2);
-        h.write_str(&sig.source);
-        match &sig.typecheck_label {
-            Some(l) => {
-                h.write_u8(1);
-                h.write_str(l);
-            }
-            None => h.write_u8(0),
+fn write_annotation(h: &mut SemHasher, key: &(String, MethodKind, String), sig: &MethodSig) {
+    h.write_str(&key.0);
+    h.write_u8(kind_tag(key.1));
+    h.write_str(&key.2);
+    h.write_str(&sig.source);
+    match &sig.typecheck_label {
+        Some(l) => {
+            h.write_u8(1);
+            h.write_str(l);
         }
-        // The declared effects are *not* part of `sig.source`, but effect
-        // summaries (and verdicts built on them) are seeded from the
-        // claims, so an effect-only annotation change must move every
-        // dependent Merkle hash.
-        h.write_u8(match sig.term {
-            rdl_types::TermEffect::Terminates => 0,
-            rdl_types::TermEffect::BlockDep => 1,
-            rdl_types::TermEffect::MayDiverge => 2,
-        });
-        h.write_u8(match sig.purity {
-            rdl_types::PurityEffect::Pure => 0,
-            rdl_types::PurityEffect::Impure => 1,
-        });
-        let idx = self.nodes.len();
-        self.nodes.push(Node { base: h.finish(), deps: Vec::new() });
-        self.annotations.insert(ann_key(key), idx);
-        idx
+        None => h.write_u8(0),
     }
-
-    fn add_method(&mut self, id: MethodId, base: u64) {
-        let idx = self.nodes.len();
-        self.nodes.push(Node { base, deps: Vec::new() });
-        self.methods.insert(id, idx);
-    }
+    // The declared effects are *not* part of `sig.source`, but effect
+    // summaries (and verdicts built on them) are seeded from the claims, so
+    // an effect-only annotation change must move every dependent Merkle
+    // hash.
+    h.write_u8(match sig.term {
+        rdl_types::TermEffect::Terminates => 0,
+        rdl_types::TermEffect::BlockDep => 1,
+        rdl_types::TermEffect::MayDiverge => 2,
+    });
+    h.write_u8(match sig.purity {
+        rdl_types::PurityEffect::Pure => 0,
+        rdl_types::PurityEffect::Impure => 1,
+    });
 }
 
-fn ann_key(key: &(String, MethodKind, String)) -> (String, u8, String) {
-    (key.0.clone(), kind_tag(key.1), key.2.clone())
+/// The order annotations are hashed in, borrowed from the key.
+fn sort_key(key: &(String, MethodKind, String)) -> (&str, u8, &str) {
+    (&key.0, kind_tag(key.1), &key.2)
 }
 
 fn kind_tag(kind: MethodKind) -> u8 {
@@ -447,34 +451,26 @@ pub fn env_hash(env: &CompRdl) -> u64 {
     }
     let mut annots: Vec<(&(String, MethodKind, String), &MethodSig)> =
         env.annotations.iter().collect();
-    annots.sort_by_key(|(k, _)| (k.0.clone(), kind_tag(k.1), k.2.clone()));
+    annots.sort_unstable_by_key(|(k, _)| sort_key(k));
     h.write_usize(annots.len());
     for (key, sig) in annots {
-        h.write_str(&key.0);
-        h.write_u8(kind_tag(key.1));
-        h.write_str(&key.2);
-        h.write_str(&sig.source);
-        match &sig.typecheck_label {
-            Some(l) => {
-                h.write_u8(1);
-                h.write_str(l);
-            }
-            None => h.write_u8(0),
-        }
-        // Declared effects live outside `sig.source`; see `add_annotation`.
-        h.write_u8(match sig.term {
-            rdl_types::TermEffect::Terminates => 0,
-            rdl_types::TermEffect::BlockDep => 1,
-            rdl_types::TermEffect::MayDiverge => 2,
-        });
-        h.write_u8(match sig.purity {
-            rdl_types::PurityEffect::Pure => 0,
-            rdl_types::PurityEffect::Impure => 1,
-        });
+        write_annotation(&mut h, key, sig);
     }
-    // Ivar/gvar annotations are keyed per class; probe the classes we know.
-    // (The table offers no global iterator; classes() covers every declared
-    // class, which is where ivars can live.)
+    // Variable types are hashed by their rendering, which spells out every
+    // nominal, generic and comp part of the parsed type.
+    let ivars = env.annotations.ivars();
+    h.write_usize(ivars.len());
+    for (class, name, ty) in ivars {
+        h.write_str(class);
+        h.write_str(name);
+        h.write_str(&ty.to_string());
+    }
+    let gvars = env.annotations.gvars();
+    h.write_usize(gvars.len());
+    for (name, ty) in gvars {
+        h.write_str(name);
+        h.write_str(&ty.to_string());
+    }
     h.finish()
 }
 
@@ -594,5 +590,32 @@ mod tests {
         let mut e3 = env_with_helpers();
         e3.type_sig("Widget", "other", "(Integer) -> Integer", None);
         assert_ne!(env_hash(&e1), env_hash(&e3));
+    }
+
+    #[test]
+    fn env_hash_tracks_variable_annotations() {
+        let with_vars = |ivar: &str, gvar: &str| {
+            let mut env = env_with_helpers();
+            env.var_type("Widget", "name", ivar);
+            env.global_type("$limit", gvar);
+            env_hash(&env)
+        };
+        let base = with_vars("String", "Integer");
+        assert_eq!(base, with_vars("String", "Integer"));
+        assert_ne!(base, env_hash(&env_with_helpers()));
+        assert_ne!(base, with_vars("Symbol", "Integer"), "an ivar retype must move the hash");
+        assert_ne!(base, with_vars("String", "Float"), "a gvar retype must move the hash");
+    }
+
+    #[test]
+    fn only_called_annotations_become_nodes() {
+        let mut env = env_with_helpers();
+        for i in 0..50 {
+            env.type_sig("Widget", &format!("unused{i}"), "() -> «top(tself)»", None);
+        }
+        let g = DepGraph::build(&env, &program());
+        // Three program methods, `frob`'s annotation and the three helpers.
+        assert_eq!(g.nodes.len(), 3 + 1 + 3);
+        assert_eq!(g.merkles.len(), 3);
     }
 }

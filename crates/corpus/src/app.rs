@@ -2,6 +2,7 @@
 
 use comprdl::CompRdl;
 use db_types::DbRegistry;
+use std::sync::{Arc, OnceLock};
 
 /// A synthetic subject program, standing in for one of the six apps the
 /// paper evaluates (Wikipedia client, Twitter gem, Discourse, Huginn,
@@ -99,13 +100,45 @@ impl App {
     /// Builds the CompRDL environment for this app: core library
     /// annotations, DB DSL annotations (when the app uses a database), and
     /// the app's own annotations.
+    ///
+    /// The library annotations are parsed once per process into a shared
+    /// base; each call clones that base, sharing its parsed signatures, and
+    /// adds only the app's schema and annotations on top.  The result is
+    /// the same environment the from-scratch recipe builds
+    /// (`CompRdl::new`, `comprdl::stdlib::register_all`,
+    /// `db_types::register_all`, then the app's `annotate`).
     pub fn build_env(&self) -> CompRdl {
-        let mut env = CompRdl::new();
-        comprdl::stdlib::register_all(&mut env);
-        if let Some(db) = &self.db {
-            db_types::register_all(&mut env, std::sync::Arc::new(db.clone()));
-        }
+        let mut env = match &self.db {
+            None => core_base().clone(),
+            Some(db) => {
+                let mut env = db_base().clone();
+                db_types::register_schema(&mut env, Arc::new(db.clone()));
+                env
+            }
+        };
         (self.annotate)(&mut env);
         env
     }
+}
+
+/// The core-library environment every app starts from, built on first use.
+fn core_base() -> &'static CompRdl {
+    static BASE: OnceLock<CompRdl> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let mut env = CompRdl::new();
+        comprdl::stdlib::register_all(&mut env);
+        env
+    })
+}
+
+/// [`core_base`] plus the ActiveRecord and Sequel annotation sets, the
+/// starting point of every app with a database.
+fn db_base() -> &'static CompRdl {
+    static BASE: OnceLock<CompRdl> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let mut env = core_base().clone();
+        db_types::activerecord::register(&mut env);
+        db_types::sequel::register(&mut env);
+        env
+    })
 }

@@ -321,3 +321,34 @@ fn disk_cache_replays_byte_identical_and_edits_invalidate_minimally() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The Wikipedia annotations with `@name` retyped.
+fn wikipedia_with_retyped_ivar(env: &mut comprdl::CompRdl) {
+    (corpus::apps::wikipedia::app().annotate)(env);
+    env.var_type("WikiPage", "name", "Symbol");
+}
+
+/// An ivar annotation is part of the environment the verdicts were checked
+/// against: retyping one must move `env_hash`, so a warm cache re-checks
+/// instead of replaying verdicts computed under the old type.
+#[test]
+fn retyping_an_ivar_moves_env_hash_and_forces_a_recheck() {
+    let app = corpus::apps::wikipedia::app();
+    let retyped =
+        corpus::App { annotate: wikipedia_with_retyped_ivar, ..corpus::apps::wikipedia::app() };
+    assert_ne!(env_hash(&app.build_env()), env_hash(&retyped.build_env()));
+
+    let memo = Arc::new(comprdl::SharedMemo::new());
+    let mut cache = CheckCache::new();
+    evaluate_app_incremental(&app, None, &mut cache, &memo).expect("cold run");
+    let (_, warm) = evaluate_app_incremental(&app, None, &mut cache, &memo).expect("warm run");
+    assert!(warm.all_replayed(), "unchanged env must replay: {warm:?}");
+
+    let (_, stats) =
+        evaluate_app_incremental(&retyped, None, &mut cache, &memo).expect("retyped run");
+    for (label, pass) in [("comp", &stats.comp), ("plain", &stats.plain)] {
+        assert!(pass.total > 0, "{label}: no labeled methods");
+        assert_eq!(pass.replayed, 0, "{label}: a stale env must replay nothing: {pass:?}");
+        assert_eq!(pass.checked(), pass.total, "{label}");
+    }
+}

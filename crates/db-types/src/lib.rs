@@ -38,12 +38,20 @@ use std::sync::Arc;
 /// and declares each registered model as a model class.  The registry is
 /// shared via [`Arc`] so the resulting environment is `Send + Sync`.
 pub fn register_all(env: &mut CompRdl, db: Arc<DbRegistry>) {
+    register_schema(env, db);
+    activerecord::register(env);
+    sequel::register(env);
+}
+
+/// The schema-specific half of [`register_all`]: declares each registered
+/// model as a model class and registers the DB helpers over `db`.  The
+/// query DSL annotation sets do not depend on the schema, so an environment
+/// that already holds them needs only this.
+pub fn register_schema(env: &mut CompRdl, db: Arc<DbRegistry>) {
     for model in db.model_names() {
         env.add_model_class(&model, "ActiveRecord::Base");
     }
     helpers::register_helpers(env, db);
-    activerecord::register(env);
-    sequel::register(env);
 }
 
 #[cfg(test)]

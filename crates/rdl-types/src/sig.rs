@@ -21,6 +21,7 @@ use crate::ty::{HashKey, Type};
 use ruby_syntax::Expr;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Termination effect of a method (paper §4, Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -294,9 +295,13 @@ impl MethodSig {
 /// The global annotation table: method signatures plus variable type
 /// annotations, mirroring RDL's global tables populated by `type`, `var_type`
 /// and `global_type` calls.
+///
+/// Signatures are held behind [`Arc`], so cloning a table shares every
+/// parsed signature with the original instead of deep-copying it: a base
+/// table of library annotations can be built once and cloned per program.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationTable {
-    methods: HashMap<(String, MethodKind, String), MethodSig>,
+    methods: HashMap<(String, MethodKind, String), Arc<MethodSig>>,
     ivars: HashMap<(String, String), TypeExpr>,
     gvars: HashMap<String, TypeExpr>,
 }
@@ -309,12 +314,14 @@ impl AnnotationTable {
 
     /// Registers an instance method signature (`A#m`).
     pub fn add_instance(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods.insert((class.to_string(), MethodKind::Instance, method.to_string()), sig);
+        self.methods
+            .insert((class.to_string(), MethodKind::Instance, method.to_string()), Arc::new(sig));
     }
 
     /// Registers a class method signature (`A.m`).
     pub fn add_singleton(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods.insert((class.to_string(), MethodKind::Singleton, method.to_string()), sig);
+        self.methods
+            .insert((class.to_string(), MethodKind::Singleton, method.to_string()), Arc::new(sig));
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
@@ -329,7 +336,7 @@ impl AnnotationTable {
 
     /// Looks up a method signature declared *exactly* on `class`.
     pub fn get_exact(&self, class: &str, kind: MethodKind, method: &str) -> Option<&MethodSig> {
-        self.methods.get(&(class.to_string(), kind, method.to_string()))
+        self.methods.get(&(class.to_string(), kind, method.to_string())).map(|sig| &**sig)
     }
 
     /// Looks up a method signature on `class` or any of its ancestors.
@@ -358,6 +365,22 @@ impl AnnotationTable {
         self.gvars.get(name)
     }
 
+    /// Every instance variable annotation as `(class, ivar, type)`, sorted
+    /// by `(class, ivar)`.
+    pub fn ivars(&self) -> impl ExactSizeIterator<Item = (&str, &str, &TypeExpr)> {
+        let mut out: Vec<_> =
+            self.ivars.iter().map(|((c, n), ty)| (c.as_str(), n.as_str(), ty)).collect();
+        out.sort_unstable_by_key(|&(c, n, _)| (c, n));
+        out.into_iter()
+    }
+
+    /// Every global variable annotation as `(name, type)`, sorted by name.
+    pub fn gvars(&self) -> impl ExactSizeIterator<Item = (&str, &TypeExpr)> {
+        let mut out: Vec<_> = self.gvars.iter().map(|(n, ty)| (n.as_str(), ty)).collect();
+        out.sort_unstable_by_key(|&(n, _)| n);
+        out.into_iter()
+    }
+
     /// Total number of method signatures registered.
     pub fn method_count(&self) -> usize {
         self.methods.len()
@@ -375,7 +398,7 @@ impl AnnotationTable {
 
     /// Iterates over every registered method signature.
     pub fn iter(&self) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig)> {
-        self.methods.iter()
+        self.methods.iter().map(|(key, sig)| (key, &**sig))
     }
 
     /// Merges all annotations from `other` into `self` (later registrations
@@ -491,5 +514,35 @@ mod tests {
         assert_eq!(a.method_count(), 2);
         assert_eq!(a.method_count_for("Hash"), 2);
         assert!(a.gvar("$schema").is_some());
+    }
+
+    #[test]
+    fn clones_share_signatures() {
+        let mut a = AnnotationTable::new();
+        a.add_instance("Hash", "[]", sig_returning(TypeExpr::nominal("Object")));
+        let mut b = a.clone();
+        let key = ("Hash".to_string(), MethodKind::Instance, "[]".to_string());
+        assert!(Arc::ptr_eq(&a.methods[&key], &b.methods[&key]));
+        // Re-registering in the clone replaces its entry only.
+        b.add_instance("Hash", "[]", sig_returning(TypeExpr::nominal("String")));
+        assert_eq!(
+            a.get_exact("Hash", MethodKind::Instance, "[]").unwrap().ret,
+            TypeExpr::nominal("Object")
+        );
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn variable_annotations_iterate_sorted() {
+        let mut t = AnnotationTable::new();
+        t.add_ivar("Wiki", "title", TypeExpr::nominal("String"));
+        t.add_ivar("Api", "token", TypeExpr::nominal("String"));
+        t.add_ivar("Wiki", "id", TypeExpr::nominal("Integer"));
+        t.add_gvar("$b", TypeExpr::nominal("Integer"));
+        t.add_gvar("$a", TypeExpr::nominal("String"));
+        let ivars: Vec<_> = t.ivars().map(|(c, n, _)| (c, n)).collect();
+        assert_eq!(ivars, [("Api", "token"), ("Wiki", "id"), ("Wiki", "title")]);
+        let gvars: Vec<_> = t.gvars().map(|(n, _)| n).collect();
+        assert_eq!(gvars, ["$a", "$b"]);
     }
 }
