@@ -136,7 +136,8 @@ pub fn render_blame(chain: &[String]) -> String {
 // Per-method local facts (the parallel-extractable part)
 // ---------------------------------------------------------------------------
 
-/// One observed call site: the bare callee name.
+/// What one method's own code does: its parameter defaults (evaluated at
+/// call time, before the body) and its body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LocalFacts {
     /// `while` anywhere in the body (including nested blocks).
@@ -154,11 +155,11 @@ fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 
-/// Every local assigned anywhere in the body (ignoring shadowing — the
+/// Every local assigned anywhere in `code` (ignoring shadowing — the
 /// same optimistic rule the lint suite uses to tell locals from calls).
-fn assigned_locals(body: &[Expr]) -> BTreeSet<String> {
+fn assigned_locals<'a>(code: impl IntoIterator<Item = &'a Expr>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for stmt in body {
+    for stmt in code {
         stmt.walk(&mut |e| {
             if let ExprKind::Assign { target, .. } | ExprKind::OpAssign { target, .. } = &e.kind {
                 if let LValue::Local(n) = target {
@@ -182,11 +183,15 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
         facts.calls.push("<unparsed>".to_string());
         return facts;
     }
-    let locals = assigned_locals(&def.body);
+    // Parameter defaults run on every call that omits the argument, so
+    // their calls and writes are the method's own, walked first because
+    // they are evaluated first.
+    let code = || def.params.iter().filter_map(|p| p.default.as_ref()).chain(&def.body);
+    let locals = assigned_locals(code());
     let params: BTreeSet<String> = def.params.iter().map(|p| p.name.clone()).collect();
     let mut shadow: Vec<Vec<String>> = Vec::new();
     let mut seen_calls = BTreeSet::new();
-    for stmt in &def.body {
+    for stmt in code() {
         walk_facts(stmt, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
     }
     facts
@@ -1221,6 +1226,25 @@ mod tests {
         assert_eq!(render_blame(&a.purity_blame), "a \u{2192} b \u{2192} @x=");
         let b = s.get("Object", "b", false).unwrap();
         assert_eq!(render_blame(&b.purity_blame), "b \u{2192} @x=");
+    }
+
+    #[test]
+    fn a_diverging_call_in_a_parameter_default_diverges_the_method() {
+        // Defaults run at call time, so their calls are the method's own.
+        let s =
+            infer_src("def spin()\n  while true\n    1\n  end\nend\ndef m(n = spin())\n  n\nend\n");
+        let m = s.get("Object", "m", false).unwrap();
+        assert_eq!(m.term, Term::MayDiverge);
+        assert_eq!(render_blame(&m.term_blame), "m \u{2192} spin \u{2192} while loop");
+    }
+
+    #[test]
+    fn a_write_in_a_parameter_default_makes_the_method_impure() {
+        let s = infer_src("def w(x = (@log = 1))\n  x\nend\n");
+        let w = s.get("Object", "w", false).unwrap();
+        assert_eq!(w.term, Term::Terminates);
+        assert_eq!(w.purity, Purity::Impure);
+        assert_eq!(render_blame(&w.purity_blame), "w \u{2192} @log=");
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! The migration-churn workload for the shared run-time check memo
 //! ([`comprdl::SharedMemo`]): generated migration *sequences* — many
 //! epochs per run — measuring how warm hit rate degrades with mutation
-//! frequency, for the lock-free seqlock read path against the mutex
-//! baseline (`SharedMemo::with_settings(.., locked_reads = true)`).
+//! frequency, plus the cost of an uncontended warm read (a bare lookup and
+//! a full hook call).
 //!
 //! Besides timing, this bench is a correctness/regression gate:
 //!
 //! * **Namespace isolation** — under a one-app migration sequence, the
 //!   *other* namespaces' hit/miss counters must be *exactly* those of the
 //!   no-migration run (per-namespace epochs; the emulated global-epoch
-//!   scenario shows the hit rate they would have lost under PR 4's global
+//!   scenario shows the hit rate they would lose to a single global
 //!   counter).
 //! * **Bounded shards** — the eviction-pressure scenario must actually
 //!   evict (and never grow past capacity).
-//! * **Uncontended warm reads** — the seqlock path must beat the mutex
-//!   path (asserted in full mode only; two-sample smoke timings on a
-//!   shared CI runner would flake).
+//! * **Warm reads** — a pre-populated memo must answer every warm lookup
+//!   from the table.
 //! * **The type core** — the hash-consed subtype / fingerprint / render
 //!   fast paths must produce outputs identical to the structural-walk
 //!   oracles, beat them on the warm path (full mode only), and leave the
@@ -55,7 +54,7 @@ fn site(n: usize) -> Span {
 
 /// Two return-checked sites; the value schedule cycles three shapes per
 /// site, one of which blames — so warm replays cover both the inline `Ok`
-/// fast path and the per-slot blame payload path.
+/// fast path and the blame-replay path.
 fn checks() -> Vec<InsertedCheck> {
     vec![
         InsertedCheck {
@@ -102,7 +101,7 @@ fn hook_on(memo: &Arc<SharedMemo>, namespace: u64) -> CompRdlHook {
 /// One churn run: `APPS` hooks interleaved round-robin over the schedule;
 /// app 0 migrates (a `mutate_store` flipping [`MODE_SLOT`]) every
 /// `migrate_every` steps (0 = never).  With `global_bump`, every other
-/// namespace's epoch is bumped alongside — emulating PR 4's global epoch
+/// namespace's epoch is bumped alongside — emulating a single global epoch
 /// so its cross-app flush cost is measurable against the per-namespace
 /// behaviour.
 struct ChurnOutcome {
@@ -111,16 +110,12 @@ struct ChurnOutcome {
     memo: MemoStats,
 }
 
-fn run_churn(migrate_every: usize, locked_reads: bool, global_bump: bool) -> ChurnOutcome {
+fn run_churn(migrate_every: usize, global_bump: bool) -> ChurnOutcome {
     let samples = bench::sample_size(7);
     let mut timings = Vec::with_capacity(samples);
     let mut last: Option<ChurnOutcome> = None;
     for _ in 0..samples {
-        let memo = Arc::new(SharedMemo::with_settings(
-            SharedMemo::DEFAULT_SHARDS,
-            SharedMemo::DEFAULT_CAPACITY,
-            locked_reads,
-        ));
+        let memo = Arc::new(SharedMemo::new());
         let namespaces: Vec<u64> =
             (0..APPS).map(|i| memo.register_namespace(&format!("app-{i}"))).collect();
         let hooks: Vec<CompRdlHook> = namespaces.iter().map(|ns| hook_on(&memo, *ns)).collect();
@@ -159,14 +154,10 @@ fn run_churn(migrate_every: usize, locked_reads: bool, global_bump: bool) -> Chu
     outcome
 }
 
-/// Median ns per fully-warm lookup (single namespace, memo pre-populated,
-/// every call a hit) on the seqlock or mutex path.
-fn run_warm_read(locked_reads: bool) -> (u128, MemoStats) {
-    let memo = Arc::new(SharedMemo::with_settings(
-        SharedMemo::DEFAULT_SHARDS,
-        SharedMemo::DEFAULT_CAPACITY,
-        locked_reads,
-    ));
+/// Median ns per fully-warm hook call (single namespace, memo
+/// pre-populated, every call a hit).
+fn run_warm_read() -> (u128, MemoStats) {
+    let memo = Arc::new(SharedMemo::new());
     let hook = hook_on(&memo, memo.register_namespace("warm"));
     let values = schedule_values();
     // Populate: one pass over every (site, value) pair.
@@ -191,15 +182,11 @@ fn run_warm_read(locked_reads: bool) -> (u128, MemoStats) {
 }
 
 /// Median ns per bare memo lookup (no hook, no value fingerprinting): the
-/// isolated read-path cost the seqlock rework targets.  The hook-level
-/// warm-read scenario above it measures the end-to-end call, where
-/// fingerprinting and check dispatch dilute the lock's share.
-fn run_memo_read(locked_reads: bool) -> (u128, MemoStats) {
-    let memo = SharedMemo::with_settings(
-        SharedMemo::DEFAULT_SHARDS,
-        SharedMemo::DEFAULT_CAPACITY,
-        locked_reads,
-    );
+/// isolated read-path cost, shard lock included.  The hook-level warm-read
+/// scenario above it measures the end-to-end call, where fingerprinting
+/// and check dispatch dilute the lookup's share.
+fn run_memo_read() -> (u128, MemoStats) {
+    let memo = SharedMemo::new();
     let ns_id = memo.register_namespace("probe");
     let ns = memo.namespace_state(ns_id);
     let keys: Vec<MemoKey> =
@@ -222,7 +209,7 @@ fn run_memo_read(locked_reads: bool) -> (u128, MemoStats) {
 /// Eviction pressure: a one-shard, minimum-capacity memo driven over many
 /// more distinct value shapes than it can hold.
 fn run_eviction_pressure() -> MemoStats {
-    let memo = Arc::new(SharedMemo::with_settings(1, 8, false));
+    let memo = Arc::new(SharedMemo::with_settings(1, 8));
     let check = InsertedCheck {
         site: site(9),
         description: "Integer#succ".to_string(),
@@ -415,7 +402,7 @@ fn run_type_core(smoke: bool) -> (Scenario, Scenario) {
     (structural_row, interned_row)
 }
 
-/// The corpus-level gate from the issue: the verdict cache (and with it the
+/// The corpus-level gate: the verdict cache (and with it the
 /// id fast path) must not change a byte of the full eight-app evaluation's
 /// deterministic output — diagnostics, blame renderings, cast counts.
 fn assert_type_core_invisible_at_corpus_scale() {
@@ -442,57 +429,29 @@ fn memo_churn(_c: &mut Criterion) {
     let mut scenarios = Vec::new();
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
 
-    // Uncontended warm reads, measured twice (acceptance (a)):
-    //
-    // * bare memo lookups, where the lock cost is undiluted — the strict
-    //   seqlock-beats-mutex assertion runs here, and
-    // * full hook calls, where value fingerprinting and check dispatch
-    //   surround the lookup — reported for the end-to-end view.
-    let (probe_seqlock_ns, probe_seqlock_stats) = run_memo_read(false);
-    let (probe_mutex_ns, probe_mutex_stats) = run_memo_read(true);
-    println!(
-        "memo read (bare lookup, all hits): seqlock {probe_seqlock_ns} ns, mutex \
-         {probe_mutex_ns} ns ({:.2}x)",
-        probe_mutex_ns as f64 / probe_seqlock_ns.max(1) as f64
-    );
-    if !smoke {
-        assert!(
-            probe_seqlock_ns < probe_mutex_ns,
-            "lock-free warm reads must beat the mutex path (seqlock {probe_seqlock_ns} ns vs \
-             mutex {probe_mutex_ns} ns)"
-        );
-    }
-    scenarios.push(Scenario::from_stats(
-        "memo_read/seqlock",
-        probe_seqlock_ns,
-        probe_seqlock_stats,
-    ));
-    scenarios.push(Scenario::from_stats("memo_read/mutex", probe_mutex_ns, probe_mutex_stats));
+    // Uncontended warm reads, measured twice: bare memo lookups, where
+    // the shard lock's cost is undiluted, and full hook calls, where value
+    // fingerprinting and check dispatch surround the lookup.
+    let (probe_ns, probe_stats) = run_memo_read();
+    println!("memo read (bare lookup, all hits): {probe_ns} ns");
+    assert!(probe_stats.hits >= WARM_PASS as u64, "bare reads must be all hits: {probe_stats:?}");
+    scenarios.push(Scenario::from_stats("memo_read", probe_ns, probe_stats));
 
-    let (seqlock_ns, seqlock_stats) = run_warm_read(false);
-    let (mutex_ns, mutex_stats) = run_warm_read(true);
-    println!(
-        "warm read (full hook call, all hits): seqlock {seqlock_ns} ns/call, mutex {mutex_ns} \
-         ns/call ({:.2}x)",
-        mutex_ns as f64 / seqlock_ns.max(1) as f64
-    );
-    assert!(
-        seqlock_stats.hits >= WARM_PASS as u64,
-        "warm-read runs must be all hits: {seqlock_stats:?}"
-    );
-    scenarios.push(Scenario::from_stats("warm_read/seqlock", seqlock_ns, seqlock_stats));
-    scenarios.push(Scenario::from_stats("warm_read/mutex", mutex_ns, mutex_stats));
+    let (warm_ns, warm_stats) = run_warm_read();
+    println!("warm read (full hook call, all hits): {warm_ns} ns/call");
+    assert!(warm_stats.hits >= WARM_PASS as u64, "warm-read runs must be all hits: {warm_stats:?}");
+    scenarios.push(Scenario::from_stats("warm_read", warm_ns, warm_stats));
 
     // Hit rate vs mutation frequency: app 0 migrates every m steps; apps
     // 1..3 never do.  Per-namespace epochs mean their counters must be
-    // *identical* to the no-migration run (acceptance (b)).
-    let baseline = run_churn(0, false, false);
+    // *identical* to the no-migration run.
+    let baseline = run_churn(0, false);
     let others_baseline: Vec<comprdl::CacheStats> = baseline.per_app[1..].to_vec();
     println!("churn m=0: {} ns/call, memo {:?}", baseline.ns_per_call, baseline.memo);
     scenarios.push(Scenario::from_stats("churn/m0", baseline.ns_per_call, baseline.memo));
     let mut m25_other_hits = 0u64;
     for migrate_every in [100, 25, 8] {
-        let outcome = run_churn(migrate_every, false, false);
+        let outcome = run_churn(migrate_every, false);
         if migrate_every == 25 {
             m25_other_hits = outcome.per_app[1..].iter().map(|s| s.hits).sum();
         }
@@ -518,11 +477,11 @@ fn memo_churn(_c: &mut Criterion) {
         ));
     }
 
-    // The same one-app churn under an emulated global epoch (PR 4
-    // semantics): every migration flushes all four namespaces, so the
+    // The same one-app churn under an emulated global epoch: every
+    // migration flushes all four namespaces, so the
     // non-migrating apps must lose hits — the cost per-namespace epochs
     // remove.
-    let global = run_churn(25, false, true);
+    let global = run_churn(25, true);
     let per_ns_hits = m25_other_hits;
     let global_hits: u64 = global.per_app[1..].iter().map(|s| s.hits).sum();
     println!(
@@ -536,15 +495,6 @@ fn memo_churn(_c: &mut Criterion) {
          ({global_hits} vs {per_ns_hits})"
     );
     scenarios.push(Scenario::from_stats("churn/m25_global_epoch", global.ns_per_call, global.memo));
-
-    // The mutex baseline under churn, for the timing comparison.
-    let mutex_churn = run_churn(25, true, false);
-    println!("churn m=25 mutex reads: {} ns/call", mutex_churn.ns_per_call);
-    scenarios.push(Scenario::from_stats(
-        "churn/m25_mutex",
-        mutex_churn.ns_per_call,
-        mutex_churn.memo,
-    ));
 
     // Bounded shards: overflow must evict, not grow.
     let pressure = run_eviction_pressure();

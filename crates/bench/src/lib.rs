@@ -1,8 +1,10 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! The actual benchmarks live under `benches/`; each one regenerates a
-//! table or an ablation from the paper's evaluation (see DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for measured results).
+//! table or an ablation from the paper's evaluation, or measures one of
+//! this implementation's caches.  Benches that persist their medians write
+//! them to `BENCH_SHARED_MEMO.json` at the repository root (see
+//! [`results`]).
 
 #![warn(missing_docs)]
 

@@ -35,7 +35,7 @@ pub const SCHEMA_VERSION: u32 = 6;
 /// operation, and the memo counters the run ended with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
-    /// Stable scenario id, e.g. `warm_read/seqlock` or `churn/m25`.
+    /// Stable scenario id, e.g. `warm_read` or `churn/m25`.
     pub name: String,
     /// Median nanoseconds per measured operation.
     pub median_ns: u128,

@@ -19,7 +19,7 @@
 use crate::cache::{CacheKey, CacheStats, CompPosition, CompTypeCache};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
-use crate::termination::{EffectViolation, InferredEffect, TerminationChecker};
+use crate::termination::{EffectEnv, EffectViolation, InferredEffect, TerminationChecker};
 use crate::tlc::{eval_comp_type, TlcError, TlcValue};
 use rdl_types::{
     HashKey, MethodKind, MethodSig, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
@@ -274,23 +274,12 @@ impl<'a> TypeChecker<'a> {
     /// Creates a checker for `program` using the annotations, helpers and
     /// class table in `env`.
     pub fn new(env: &'a CompRdl, program: &'a Program, options: CheckOptions) -> Self {
-        let mut termination = TerminationChecker::with_builtins();
-        for ((_, _, name), sig) in env.annotations.iter() {
-            termination.env_mut().set(name, sig.term, sig.purity);
-        }
-        for name in env.helpers.names() {
-            termination.env_mut().set(
-                &name,
-                rdl_types::TermEffect::Terminates,
-                rdl_types::PurityEffect::Pure,
-            );
-        }
         TypeChecker {
             env,
             program,
             options,
             store: TypeStore::new(),
-            termination,
+            termination: TerminationChecker::new(EffectEnv::explicit_for(env)),
             cache: CompTypeCache::new(),
             slot_semantics: HashMap::new(),
         }
@@ -518,16 +507,6 @@ impl<'a> TypeChecker<'a> {
             }
         }
         ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
-    }
-
-    /// Checks a single method definition.
-    pub fn check_single(mut self, owner: &str, def: &MethodDef) -> ProgramCheckResult {
-        let result = self.check_method_def(owner, def);
-        ProgramCheckResult {
-            methods: vec![result],
-            store: self.store,
-            cache_stats: self.cache.stats(),
-        }
     }
 
     fn check_method_def(&mut self, owner: &str, def: &MethodDef) -> MethodCheckResult {

@@ -4,69 +4,55 @@
 //!
 //! [`CompRdlHook`]: crate::runtime::CompRdlHook
 //!
-//! ## Lock-free reads (seqlock shards)
+//! ## One mutex per shard
 //!
-//! The PR 4 memo guarded each shard's `HashMap` with a `Mutex`, so every
-//! warm *read* — the overwhelmingly common operation on a long-lived server
-//! — serialized on a lock and paid SipHash over the whole key.  Each shard
-//! is now an **open-addressed slot array** read without any lock: every
-//! slot carries an odd/even **sequence word** (`seq`), and its key, stamp
-//! and flag fields are plain atomics.
+//! Each shard is a `Mutex` over a fixed-size, open-addressed slot table of
+//! plain entries.  Every operation — lookup, insert, stale-entry removal
+//! and eviction — hashes the full key (value fingerprint and before/after
+//! tag included, so one hot call site still spreads over shards), takes
+//! that one shard's lock, and works on ordinary data.  A lookup holds the
+//! lock for one probe of at most eight slots; a blame hit clones only an
+//! `Arc` under the lock and copies the diagnostic after releasing it.  The
+//! per-shard lock is the only synchronisation on the table: a reader never
+//! sees a half-written entry, and a stale entry is judged and removed in
+//! the same critical section that found it.
 //!
-//! * **Readers** load `seq` (odd means a writer is mid-update: spin
-//!   briefly, then treat the slot as unusable — a miss is always sound),
-//!   load the fields, and re-check `seq`; a changed word means the read
-//!   was torn and the reader retries.  A consistent, key-matching,
-//!   fresh-stamped snapshot is a hit with no lock acquired.
-//! * **Writers** (miss/insert, stale-entry removal, eviction) take the
-//!   shard's write `Mutex`, bump `seq` to odd, update the fields, and bump
-//!   it back to even.  Writes only happen on misses and invalidations, so
-//!   the lock is off the warm path entirely.
-//!
-//! Blame payloads (`Err` verdicts carry an owned [`BlameDiagnostic`])
-//! cannot be read as a torn-tolerant word, so each slot keeps its blame in
-//! a tiny per-slot `Mutex<Option<Arc<..>>>` touched **only** when the
-//! verdict is a blame — the `Ok` fast path never locks anything, and a
-//! blame replay contends on one slot, never on a shard.
+//! Lock order: the namespace registry's lock is never taken while a shard
+//! lock is held.  Namespace counters are atomics bumped after the shard
+//! lock is released, and evictions are tallied inside the shard and
+//! drained to the registry by the stats readers.
 //!
 //! ## Per-namespace epochs
 //!
-//! PR 4's epoch was a single global counter: any hook's store mutation
-//! lazily flushed *every* namespace's warm entries, so one app's mid-suite
-//! migration cost the other seven apps their hit rate.  The epoch is now
-//! **per namespace** — a hook's [`mutate_store`] (or a comp-type
-//! evaluation that mutates type-level state mid-flight) bumps only its own
-//! namespace's counter, and a lookup re-reads that namespace's epoch (not
-//! a global one) when judging freshness.  This is sound because namespaces
-//! never share keys: an entry is only ever replayed by hooks of the
-//! namespace that recorded it, and those hooks are deterministic replays
-//! of one program whose mutations all bump the same counter.  A migration
-//! in app A literally cannot invalidate — and no longer flushes — app B's
-//! entries.
+//! Every namespace has its own epoch.  A hook's [`mutate_store`] (or a
+//! comp-type evaluation that mutates type-level state mid-flight) bumps
+//! only its own namespace's counter, and a lookup reads that namespace's
+//! epoch (under the shard lock) when judging freshness, so one app's
+//! mid-suite migration never costs the other apps their warm entries.  This
+//! is sound because namespaces never share keys: an entry is only ever
+//! replayed by hooks of the namespace that recorded it, and those hooks
+//! are deterministic replays of one program whose mutations all bump the
+//! same counter.
 //!
 //! [`mutate_store`]: crate::runtime::CompRdlHook::mutate_store
 //!
 //! ## Bounded shards (CLOCK eviction)
 //!
-//! PR 4's `HashMap` shards grew without bound.  Slot arrays are now
-//! **fixed-capacity** ([`SharedMemo::with_capacity`]); a key probes a
-//! short window of slots, and an insert that finds its window full evicts
-//! by **second-chance (CLOCK)**: every hit sets the slot's referenced
-//! flag, the victim scan clears flags until it finds an unreferenced slot,
-//! and the evicted entry simply costs its next reader a re-evaluation —
-//! eviction can never change a verdict, only the hit rate.  Long-lived
-//! runs therefore hold memo memory constant.
-//!
-//! The baseline mutex path is still available behind
-//! [`SharedMemo::with_settings`]'s `locked_reads` flag so the `memo_churn`
-//! bench can measure the seqlock win against the exact same table.
+//! Slot tables are **fixed-capacity** ([`SharedMemo::with_capacity`]); a
+//! key probes a short window of slots, and an insert that finds its window
+//! full evicts by **second-chance (CLOCK)**: every hit sets the entry's
+//! referenced bit, the victim scan — starting at a hand that rotates per
+//! shard — clears bits until it finds an unreferenced entry, and the
+//! evicted entry simply costs its next reader a re-evaluation.  Eviction
+//! can never change a verdict, only the hit rate, and long-lived runs hold
+//! memo memory constant.
 
 use crate::runtime::BlameDiagnostic;
 use rdl_types::Fingerprint;
 use ruby_syntax::Span;
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Derives a stable memo namespace from a program / app name, so replays of
 /// the same program share entries while unrelated programs never do.
@@ -188,221 +174,70 @@ impl NamespaceState {
     }
 }
 
-/// Slot flag bits (stored in [`Slot::flags`], seqlock-guarded except for
-/// the referenced bit, which readers set with a lock-free RMW on hit).
-const FLAG_OCCUPIED: u64 = 1;
-/// Set when the slot belongs to the `after_call` table (part of the key).
-const FLAG_AFTER: u64 = 2;
-/// Set when the verdict is a blame (the payload lives in [`Slot::blame`]).
-const FLAG_BLAME: u64 = 4;
-/// CLOCK second-chance bit: set on every hit, cleared by the victim scan.
-const FLAG_REFERENCED: u64 = 8;
-
 /// How many consecutive slots a key may occupy (its probe window), and
 /// therefore how many slots a lookup scans.  Bounded probing is what makes
 /// eviction safe: a key is only ever found inside its own window, so
 /// displacing any slot can only turn someone's hit into a miss.
 const PROBE_WINDOW: usize = 8;
 
-/// How many times a reader retries a torn or mid-write slot before giving
-/// up and treating it as a miss (sound: a miss just re-evaluates).
-const SPIN_LIMIT: usize = 64;
-
-/// One seqlock-guarded slot of a shard's open-addressed entry table.
-///
-/// All fields except `blame` are atomics written only by the shard's
-/// (mutex-serialized) writers inside an odd `seq` window and read by
-/// anyone; `blame` is the out-of-line payload for `Err` verdicts, guarded
-/// by its own per-slot mutex so the `Ok` fast path never locks.
-#[derive(Debug, Default)]
-struct Slot {
-    /// Sequence word: `0` = never written, odd = writer mid-update, other
-    /// even = stable.  Monotonically increasing.
-    seq: AtomicU64,
-    flags: AtomicU64,
-    ns: AtomicU64,
-    fp: AtomicU64,
-    start: AtomicU64,
-    end: AtomicU64,
-    line_file: AtomicU64,
-    generation: AtomicU64,
-    epoch: AtomicU64,
-    blame: Mutex<Option<Arc<BlameDiagnostic>>>,
-}
-
-/// A validated (untorn) copy of one slot's seqlock-guarded fields.
-struct SlotSnapshot {
-    flags: u64,
-    ns: u64,
-    fp: u64,
-    start: u64,
-    end: u64,
-    line_file: u64,
+/// One recorded verdict: its full key, the stamps it was recorded under,
+/// the CLOCK referenced bit, and the blame of an `Err` verdict (`None` for
+/// `Ok`).
+#[derive(Debug)]
+struct Entry {
+    table: MemoTable,
+    key: MemoKey,
     generation: u64,
     epoch: u64,
+    referenced: bool,
     blame: Option<Arc<BlameDiagnostic>>,
 }
 
-impl Slot {
-    /// Seqlock read: returns a consistent snapshot, or `None` if the slot
-    /// stayed torn / mid-write for [`SPIN_LIMIT`] attempts (callers treat
-    /// that as a miss).
-    fn read(&self) -> Option<SlotSnapshot> {
-        for _ in 0..SPIN_LIMIT {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let flags = self.flags.load(Ordering::Relaxed);
-            let snap = SlotSnapshot {
-                flags,
-                ns: self.ns.load(Ordering::Relaxed),
-                fp: self.fp.load(Ordering::Relaxed),
-                start: self.start.load(Ordering::Relaxed),
-                end: self.end.load(Ordering::Relaxed),
-                line_file: self.line_file.load(Ordering::Relaxed),
-                generation: self.generation.load(Ordering::Relaxed),
-                epoch: self.epoch.load(Ordering::Relaxed),
-                // Only blame-carrying verdicts pay for the per-slot lock;
-                // the clone is an `Arc` bump, and the seq re-check below
-                // rejects the snapshot if a writer replaced the payload
-                // while we held it.
-                blame: if flags & FLAG_BLAME != 0 {
-                    self.blame.lock().unwrap_or_else(|e| e.into_inner()).clone()
-                } else {
-                    None
-                },
-            };
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return Some(snap);
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-
-    /// Whether this (consistent) snapshot holds exactly `key` in `table`.
-    fn snapshot_matches(snap: &SlotSnapshot, table: MemoTable, key: &MemoKey) -> bool {
-        let (namespace, site, fp) = key;
-        snap.flags & FLAG_OCCUPIED != 0
-            && ((snap.flags & FLAG_AFTER != 0) == matches!(table, MemoTable::After))
-            && snap.ns == *namespace
-            && snap.fp == *fp
-            && snap.start == site.start as u64
-            && snap.end == site.end as u64
-            && snap.line_file == pack_line_file(site)
-    }
-
-    /// Writes `key` + verdict into the slot under the seqlock write
-    /// protocol.  Caller must hold the shard's write mutex.
-    fn write(
-        &self,
-        table: MemoTable,
-        key: &MemoKey,
-        generation: u64,
-        epoch: u64,
-        outcome: &Result<(), BlameDiagnostic>,
-    ) {
-        let (namespace, site, fp) = key;
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.ns.store(*namespace, Ordering::Relaxed);
-        self.fp.store(*fp, Ordering::Relaxed);
-        self.start.store(site.start as u64, Ordering::Relaxed);
-        self.end.store(site.end as u64, Ordering::Relaxed);
-        self.line_file.store(pack_line_file(site), Ordering::Relaxed);
-        self.generation.store(generation, Ordering::Relaxed);
-        self.epoch.store(epoch, Ordering::Relaxed);
-        let mut flags = FLAG_OCCUPIED | FLAG_REFERENCED;
-        if matches!(table, MemoTable::After) {
-            flags |= FLAG_AFTER;
-        }
-        let blame = match outcome {
-            Ok(()) => None,
-            Err(b) => {
-                flags |= FLAG_BLAME;
-                Some(Arc::new(b.clone()))
-            }
-        };
-        *self.blame.lock().unwrap_or_else(|e| e.into_inner()) = blame;
-        self.flags.store(flags, Ordering::Relaxed);
-        self.seq.store(s + 2, Ordering::Release);
-    }
-
-    /// Marks the slot empty under the seqlock write protocol.  Caller must
-    /// hold the shard's write mutex.
-    fn clear(&self) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.flags.store(0, Ordering::Relaxed);
-        *self.blame.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        self.seq.store(s + 2, Ordering::Release);
-    }
-}
-
-/// Packs a span's line and file id into one slot word.
-fn pack_line_file(site: &Span) -> u64 {
-    (u64::from(site.line) << 32) | u64::from(site.file)
-}
-
-/// Writer-side shard state, serialized by the shard mutex.
-#[derive(Debug, Default)]
-struct WriterState {
+/// One shard, guarded as a whole by its mutex.
+#[derive(Debug)]
+struct ShardState {
+    /// Open-addressed slot table (power-of-two length).
+    slots: Vec<Option<Entry>>,
     /// CLOCK hand: rotates the victim-scan start within the probe window
     /// so eviction pressure does not always land on the window's first
     /// slot.
     clock: usize,
     /// Evictions not yet attributed to their namespace's counters, keyed
-    /// by the displaced entry's namespace.  Tallied here — under the shard
-    /// lock the evicting insert already holds — and drained to the
-    /// namespace registry lazily by the stats readers, so the write path
-    /// never touches the global registry mutex (under sustained capacity
-    /// pressure that lock would otherwise serialize every shard's
-    /// evicting inserts).
+    /// by the displaced entry's namespace.  Drained to the namespace
+    /// registry by the stats readers, so the insert path never takes the
+    /// registry lock.
     pending_evictions: HashMap<u64, u64>,
 }
 
-/// One shard: a fixed-size open-addressed slot array (power-of-two length)
-/// read lock-free, plus the write mutex that serializes inserts, stale
-/// removals and evictions.
-#[derive(Debug)]
-struct Shard {
-    slots: Box<[Slot]>,
-    mask: usize,
-    len: AtomicUsize,
-    writer: Mutex<WriterState>,
+impl ShardState {
+    /// The slot of `window` holding exactly `key` in `table`, if any.
+    fn find(&self, window: &[usize], table: MemoTable, key: &MemoKey) -> Option<usize> {
+        window
+            .iter()
+            .copied()
+            .find(|&i| self.slots[i].as_ref().is_some_and(|e| e.table == table && e.key == *key))
+    }
 }
 
-impl Shard {
-    fn new(slots: usize) -> Self {
-        Shard {
-            slots: (0..slots).map(|_| Slot::default()).collect(),
-            mask: slots - 1,
-            len: AtomicUsize::new(0),
-            writer: Mutex::new(WriterState::default()),
-        }
-    }
+/// Locks a shard.  Every update replaces a whole slot, so a shard poisoned
+/// by a panicking holder is still consistent.
+fn lock(shard: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
+    shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The concurrent run-time check memo shared by every
 /// [`CompRdlHook`](crate::runtime::CompRdlHook) constructed over it (see
-/// the module docs for the read path, epoch and eviction design).
+/// the module docs for the locking, epoch and eviction design).
 pub struct SharedMemo {
-    shards: Box<[Shard]>,
+    shards: Box<[Mutex<ShardState>]>,
+    /// Slots per shard minus one (slot counts are powers of two).
+    mask: usize,
     namespaces: Mutex<HashMap<u64, Arc<NamespaceState>>>,
-    /// Bench-only baseline: when set, lookups take the shard write mutex
-    /// (the PR 4 behaviour) instead of the seqlock read path, so
-    /// `memo_churn` can measure the lock's cost against the same table.
-    locked_reads: bool,
 }
 
 impl SharedMemo {
     /// Default shard count: enough that one thread per corpus app rarely
-    /// contends on the write path, small enough that shard occupancy stats
+    /// contends on a shard lock, small enough that shard occupancy stats
     /// stay readable.
     pub const DEFAULT_SHARDS: usize = 16;
 
@@ -414,13 +249,7 @@ impl SharedMemo {
     /// A memo with [`SharedMemo::DEFAULT_SHARDS`] shards and
     /// [`SharedMemo::DEFAULT_CAPACITY`] capacity.
     pub fn new() -> Self {
-        SharedMemo::with_settings(Self::DEFAULT_SHARDS, Self::DEFAULT_CAPACITY, false)
-    }
-
-    /// A memo with `shards` shards (clamped to at least 1) at the default
-    /// capacity.
-    pub fn with_shards(shards: usize) -> Self {
-        SharedMemo::with_settings(shards, Self::DEFAULT_CAPACITY, false)
+        SharedMemo::with_settings(Self::DEFAULT_SHARDS, Self::DEFAULT_CAPACITY)
     }
 
     /// A memo bounded to roughly `entries` recorded verdicts across the
@@ -428,33 +257,32 @@ impl SharedMemo {
     /// second-chance eviction, never by refusing inserts: overflow costs
     /// hit rate, not correctness.
     pub fn with_capacity(entries: usize) -> Self {
-        SharedMemo::with_settings(Self::DEFAULT_SHARDS, entries, false)
+        SharedMemo::with_settings(Self::DEFAULT_SHARDS, entries)
     }
 
-    /// Full-control constructor: `shards` shards (≥ 1), a total capacity
-    /// of roughly `entries` slots (rounded up to a power of two per shard,
-    /// at least the probe window), and — for the bench baseline only —
-    /// `locked_reads`, which routes every lookup through the shard write
-    /// mutex the way the pre-seqlock memo did.
-    pub fn with_settings(shards: usize, entries: usize, locked_reads: bool) -> Self {
+    /// Full-control constructor: `shards` shards (≥ 1) and a total
+    /// capacity of roughly `entries` slots (rounded up to a power of two
+    /// per shard, at least the probe window).
+    pub fn with_settings(shards: usize, entries: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = entries.div_ceil(shards).next_power_of_two().max(PROBE_WINDOW);
+        let shard = || {
+            Mutex::new(ShardState {
+                slots: (0..per_shard).map(|_| None).collect(),
+                clock: 0,
+                pending_evictions: HashMap::new(),
+            })
+        };
         SharedMemo {
-            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
+            shards: (0..shards).map(|_| shard()).collect(),
+            mask: per_shard - 1,
             namespaces: Mutex::new(HashMap::new()),
-            locked_reads,
         }
     }
 
     /// Total slot capacity (the hard bound on recorded entries).
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.slots.len()).sum()
-    }
-
-    /// True when lookups take the shard mutex (the bench baseline path)
-    /// instead of the lock-free read path.
-    pub fn locked_reads(&self) -> bool {
-        self.locked_reads
+        self.shards.len() * (self.mask + 1)
     }
 
     /// Number of shards.
@@ -464,7 +292,7 @@ impl SharedMemo {
 
     /// Entries currently recorded per shard, in shard order.
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len.load(Ordering::Relaxed)).collect()
+        self.shards.iter().map(|s| lock(s).slots.iter().flatten().count()).collect()
     }
 
     /// Total number of recorded entries across all shards.
@@ -558,15 +386,14 @@ impl SharedMemo {
         fp.finish()
     }
 
-    fn shard_for(&self, hash: u64) -> &Shard {
-        &self.shards[(hash % self.shards.len() as u64) as usize]
-    }
-
-    /// The base slot index of `hash`'s probe window within its shard.
-    fn slot_index(shard: &Shard, hash: u64) -> usize {
+    /// Locks the shard `hash` belongs to and returns it together with the
+    /// slot indices of `hash`'s probe window within it.
+    fn probe(&self, hash: u64) -> (MutexGuard<'_, ShardState>, [usize; PROBE_WINDOW]) {
+        let shard = lock(&self.shards[(hash % self.shards.len() as u64) as usize]);
         // Remix: the low bits already picked the shard, so fold the high
         // half in before masking down to a slot.
-        (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & shard.mask
+        let base = (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        (shard, std::array::from_fn(|i| (base + i) & self.mask))
     }
 
     /// Looks up a verdict, evicting stamp-stale entries (a store mutation
@@ -574,13 +401,11 @@ impl SharedMemo {
     /// outcome (if fresh) and whether a stale entry was evicted.
     ///
     /// Freshness compares the entry's stamps against the caller's store
-    /// `generation` and the **namespace's current epoch**, re-read here
-    /// (from `ns`, the caller's namespace state) rather than taken from
-    /// any earlier sample: an entry recorded just before a concurrent bump
-    /// must be rejected, and a caller holding a stale epoch sample must
-    /// not evict an entry a sibling hook just recorded at the newest epoch
-    /// (the removal path re-reads the epoch once more under the shard
-    /// lock before touching the slot).
+    /// `generation` and the **namespace's current epoch**, read from `ns`
+    /// (the caller's namespace state) under the shard lock: an entry
+    /// recorded before a concurrent bump is rejected, and an entry a
+    /// sibling hook just recorded at the newest epoch is never evicted on
+    /// the strength of an older epoch sample.
     ///
     /// Public so the `memo_churn` bench can drive the read path directly;
     /// `ns` must be [`SharedMemo::namespace_state`] of the key's namespace.
@@ -591,110 +416,38 @@ impl SharedMemo {
         generation: u64,
         ns: &NamespaceState,
     ) -> (Option<Result<(), BlameDiagnostic>>, bool) {
-        let hash = Self::key_hash(table, key);
-        let shard = self.shard_for(hash);
-        let base = Self::slot_index(shard, hash);
-        let epoch = ns.epoch();
-        // The bench baseline: hold the shard write mutex across the whole
-        // probe, exactly like the pre-seqlock memo did.
-        let guard = if self.locked_reads {
-            Some(shard.writer.lock().unwrap_or_else(|e| e.into_inner()))
-        } else {
-            None
-        };
-        for i in 0..PROBE_WINDOW {
-            let slot = &shard.slots[(base + i) & shard.mask];
-            let snap = match slot.read() {
-                Some(snap) => snap,
-                // Persistently torn: a writer held the slot mid-update for
-                // the whole spin budget (e.g. it was preempted).  Wait it
-                // out behind the shard write mutex — once acquired no
-                // writer is active, so the re-read is consistent — keeping
-                // hit/miss counts deterministic under contention.  (In
-                // locked mode the guard is already held and a slot can
-                // never read torn, so this arm is unreachable there.)
-                None if guard.is_none() => {
-                    let held = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
-                    let reread = slot.read();
-                    drop(held);
-                    match reread {
-                        Some(snap) => snap,
-                        None => continue,
-                    }
-                }
-                None => continue,
-            };
-            if !Slot::snapshot_matches(&snap, table, key) {
-                continue;
-            }
-            if snap.generation == generation && snap.epoch == epoch {
-                slot.flags.fetch_or(FLAG_REFERENCED, Ordering::Relaxed);
-                ns.hits.fetch_add(1, Ordering::Relaxed);
-                let outcome = match snap.blame {
-                    Some(blame) => Err((*blame).clone()),
-                    None => Ok(()),
-                };
-                return (Some(outcome), false);
-            }
-            // Stale stamps: remove the entry under the shard lock (unless
-            // a sibling refreshed it in the meantime).
-            let removed = if guard.is_some() {
-                Self::remove_if_stale(shard, base, table, key, generation, ns)
-            } else {
-                let held = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
-                let removed = Self::remove_if_stale(shard, base, table, key, generation, ns);
-                drop(held);
-                removed
-            };
+        let (mut shard, window) = self.probe(Self::key_hash(table, key));
+        let Some(i) = shard.find(&window, table, key) else {
+            drop(shard);
             ns.misses.fetch_add(1, Ordering::Relaxed);
-            if removed {
-                ns.invalidations.fetch_add(1, Ordering::Relaxed);
-            }
-            return (None, removed);
-        }
-        ns.misses.fetch_add(1, Ordering::Relaxed);
-        (None, false)
-    }
-
-    /// Re-probes `key`'s window (from `base`, the slot index the caller
-    /// already derived from the key hash) and clears its slot if —
-    /// re-checked under the shard write mutex, with the namespace epoch
-    /// re-read — its stamps are still stale.  Returns whether an entry was
-    /// removed.
-    ///
-    /// Caller must hold the shard's write mutex.
-    fn remove_if_stale(
-        shard: &Shard,
-        base: usize,
-        table: MemoTable,
-        key: &MemoKey,
-        generation: u64,
-        ns: &NamespaceState,
-    ) -> bool {
+            return (None, false);
+        };
         let epoch = ns.epoch();
-        for i in 0..PROBE_WINDOW {
-            let slot = &shard.slots[(base + i) & shard.mask];
-            // Holding the write mutex means no writer is active; the read
-            // cannot stay torn.
-            let Some(snap) = slot.read() else { continue };
-            if !Slot::snapshot_matches(&snap, table, key) {
-                continue;
+        let slot = &mut shard.slots[i];
+        match slot {
+            Some(entry) if entry.generation == generation && entry.epoch == epoch => {
+                entry.referenced = true;
+                let blame = entry.blame.clone();
+                drop(shard);
+                ns.hits.fetch_add(1, Ordering::Relaxed);
+                (Some(blame.map_or(Ok(()), |b| Err((*b).clone()))), false)
             }
-            if snap.generation == generation && snap.epoch == epoch {
-                return false; // a sibling refreshed it; keep it
+            _ => {
+                *slot = None;
+                drop(shard);
+                ns.misses.fetch_add(1, Ordering::Relaxed);
+                ns.invalidations.fetch_add(1, Ordering::Relaxed);
+                (None, true)
             }
-            slot.clear();
-            shard.len.fetch_sub(1, Ordering::Relaxed);
-            return true;
         }
-        false
     }
 
     /// Records a verdict for `key`, stamped with the caller's store
     /// `generation` and the namespace `epoch` the caller sampled before
-    /// evaluating.  Takes the shard write mutex; if the probe window is
-    /// full, evicts by second-chance and attributes the eviction to the
-    /// displaced entry's namespace.
+    /// evaluating.  Overwrites the key's entry if present (a sibling may
+    /// have inserted while we evaluated), else fills the window's first
+    /// empty slot; if the window is full, evicts by second-chance and
+    /// attributes the eviction to the displaced entry's namespace.
     pub fn insert(
         &self,
         table: MemoTable,
@@ -703,55 +456,38 @@ impl SharedMemo {
         epoch: u64,
         outcome: &Result<(), BlameDiagnostic>,
     ) {
-        let hash = Self::key_hash(table, key);
-        let shard = self.shard_for(hash);
-        let base = Self::slot_index(shard, hash);
-        let mut writer = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
-        // First pass: overwrite the key in place if present (a sibling may
-        // have inserted while we evaluated), else remember the first empty
-        // slot.  The whole window is scanned before an empty slot is used,
-        // so a key can never occupy two slots.
-        let mut empty = None;
-        for i in 0..PROBE_WINDOW {
-            let idx = (base + i) & shard.mask;
-            let slot = &shard.slots[idx];
-            let Some(snap) = slot.read() else { continue };
-            if snap.flags & FLAG_OCCUPIED == 0 {
-                empty.get_or_insert(idx);
-                continue;
-            }
-            if Slot::snapshot_matches(&snap, table, key) {
-                slot.write(table, key, generation, epoch, outcome);
-                return;
-            }
-        }
-        if let Some(idx) = empty {
-            shard.slots[idx].write(table, key, generation, epoch, outcome);
-            shard.len.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry {
+            table,
+            key: *key,
+            generation,
+            epoch,
+            referenced: true,
+            blame: outcome.as_ref().err().map(|b| Arc::new(b.clone())),
+        };
+        let (mut shard, window) = self.probe(Self::key_hash(table, key));
+        // The whole window is scanned for the key before an empty slot is
+        // used, so a key can never occupy two slots.
+        let target = shard
+            .find(&window, table, key)
+            .or_else(|| window.into_iter().find(|&i| shard.slots[i].is_none()));
+        if let Some(i) = target {
+            shard.slots[i] = Some(entry);
             return;
         }
         // Window full: CLOCK second-chance.  Clear referenced bits until
-        // an unreferenced slot turns up; two passes guarantee a victim
+        // an unreferenced entry turns up; two passes guarantee a victim
         // (after the first pass every bit is clear).
-        let start = writer.clock % PROBE_WINDOW;
-        writer.clock = (writer.clock + 1) % PROBE_WINDOW;
-        let mut victim = (base + start) & shard.mask;
-        'scan: for _pass in 0..2 {
-            for i in 0..PROBE_WINDOW {
-                let idx = (base + (start + i) % PROBE_WINDOW) & shard.mask;
-                let slot = &shard.slots[idx];
-                let flags = slot.flags.load(Ordering::Relaxed);
-                if flags & FLAG_REFERENCED != 0 {
-                    slot.flags.store(flags & !FLAG_REFERENCED, Ordering::Relaxed);
-                } else {
-                    victim = idx;
-                    break 'scan;
-                }
-            }
-        }
-        let displaced = shard.slots[victim].ns.load(Ordering::Relaxed);
-        *writer.pending_evictions.entry(displaced).or_insert(0) += 1;
-        shard.slots[victim].write(table, key, generation, epoch, outcome);
+        let start = shard.clock;
+        shard.clock = (start + 1) % PROBE_WINDOW;
+        let victim = (0..2 * PROBE_WINDOW)
+            .map(|i| window[(start + i) % PROBE_WINDOW])
+            .find(|&i| {
+                let e = shard.slots[i].as_mut().expect("a full window has no empty slot");
+                !std::mem::replace(&mut e.referenced, false)
+            })
+            .expect("the second pass finds every referenced bit clear");
+        let displaced = shard.slots[victim].replace(entry).expect("the victim is occupied").key.0;
+        *shard.pending_evictions.entry(displaced).or_insert(0) += 1;
     }
 
     /// Drains every shard's pending eviction tally into the namespace
@@ -760,10 +496,7 @@ impl SharedMemo {
     /// nested inside it.
     fn flush_evictions(&self) {
         for shard in self.shards.iter() {
-            let pending = {
-                let mut writer = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut writer.pending_evictions)
-            };
+            let pending = std::mem::take(&mut lock(shard).pending_evictions);
             for (namespace, count) in pending {
                 self.namespace_state(namespace).evictions.fetch_add(count, Ordering::Relaxed);
             }
@@ -783,7 +516,6 @@ impl std::fmt::Debug for SharedMemo {
             .field("shards", &self.shards.len())
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("locked_reads", &self.locked_reads)
             .finish()
     }
 }
@@ -863,7 +595,7 @@ mod tests {
     #[test]
     fn capacity_overflow_evicts_instead_of_growing() {
         // One shard, minimal capacity: the probe window *is* the shard.
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
+        let memo = SharedMemo::with_settings(1, PROBE_WINDOW);
         assert_eq!(memo.capacity(), PROBE_WINDOW);
         let ns = memo.namespace_state(7);
         // All keys share one site so fingerprints alone vary: they still
@@ -887,7 +619,7 @@ mod tests {
 
     #[test]
     fn second_chance_prefers_unreferenced_victims() {
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
+        let memo = SharedMemo::with_settings(1, PROBE_WINDOW);
         let ns = memo.namespace_state(7);
         for fp in 0..PROBE_WINDOW as u64 {
             memo.insert(MemoTable::After, &key(7, 1, fp), 0, 0, &Ok(()));
@@ -909,30 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn readers_fall_back_to_miss_when_a_slot_stays_torn() {
-        // Simulate a writer that died mid-update (odd seq, write mutex
-        // free): the reader exhausts its spin budget, takes the lock
-        // fallback, finds the slot still torn, and reports a sound miss
-        // instead of spinning forever or returning torn data.
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
-        let ns = memo.namespace_state(7);
-        let k = key(7, 1, 11);
-        memo.insert(MemoTable::After, &k, 0, 0, &Ok(()));
-        for slot in memo.shards[0].slots.iter() {
-            let s = slot.seq.load(Ordering::Relaxed);
-            slot.seq.store(s + 1, Ordering::Relaxed);
-        }
-        let (got, evicted) = memo.lookup(MemoTable::After, &k, 0, &ns);
-        assert_eq!((got, evicted), (None, false), "torn slots must read as a sound miss");
-        // The "writer" finishes; the entry is visible again.
-        for slot in memo.shards[0].slots.iter() {
-            let s = slot.seq.load(Ordering::Relaxed);
-            slot.seq.store(s + 1, Ordering::Relaxed);
-        }
-        assert_eq!(memo.lookup(MemoTable::After, &k, 0, &ns), (Some(Ok(())), false));
-    }
-
-    #[test]
     fn registered_namespaces_report_labeled_stats() {
         let memo = SharedMemo::new();
         let a = memo.register_namespace("app-a");
@@ -951,15 +659,74 @@ mod tests {
     }
 
     #[test]
-    fn locked_reads_baseline_behaves_identically() {
-        let memo = SharedMemo::with_settings(4, 64, true);
-        assert!(memo.locked_reads());
-        let ns = memo.namespace_state(7);
-        let k = key(7, 1, 11);
-        memo.insert(MemoTable::After, &k, 0, 0, &Err(blame("b")));
-        let (got, _) = memo.lookup(MemoTable::After, &k, 0, &ns);
-        assert_eq!(got, Some(Err(blame("b"))));
-        ns.bump_epoch();
-        assert_eq!(memo.lookup(MemoTable::After, &k, 0, &ns), (None, true));
+    fn golden_trace_pins_single_threaded_behaviour() {
+        // A seeded single-threaded trace over a deliberately small memo
+        // (two shards of 16 slots, so CLOCK eviction fires constantly):
+        // every lookup's `(outcome, evicted)` pair, and the final counters,
+        // occupancy and per-namespace rows, must match constants recorded
+        // once.  Any change to keys, probing, freshness, eviction order or
+        // counting shows up here.
+        let memo = SharedMemo::with_settings(2, 32);
+        let ids: Vec<u64> = ["golden-a", "golden-b", "golden-c"]
+            .iter()
+            .map(|n| memo.register_namespace(n))
+            .collect();
+        let states: Vec<_> = ids.iter().map(|&id| memo.namespace_state(id)).collect();
+        let mut rng = test_rng::Rng::new(0x0060_1DE7);
+        // Each namespace's store generation moves now and then, so most
+        // lookups are fresh but stale-generation invalidations still occur.
+        let mut generations = [0u64; 3];
+        let mut digest = Fingerprint::new();
+        for _ in 0..3_000 {
+            let which = rng.below(3) as usize;
+            let (id, ns) = (ids[which], &states[which]);
+            let table = if rng.below(2) == 0 { MemoTable::Before } else { MemoTable::After };
+            let k = key(id, rng.below(6) as usize, rng.below(3));
+            if rng.below(25) == 0 {
+                generations[which] = rng.below(3);
+            }
+            let generation = generations[which];
+            match rng.below(40) {
+                0..=23 => {
+                    let (outcome, evicted) = memo.lookup(table, &k, generation, ns);
+                    match outcome {
+                        None => digest.write_u8(0),
+                        Some(Ok(())) => digest.write_u8(1),
+                        Some(Err(b)) => {
+                            digest.write_u8(2);
+                            digest.write_str(&b.message);
+                        }
+                    }
+                    digest.write_u8(u8::from(evicted));
+                }
+                24..=38 => {
+                    let outcome = match rng.below(4) {
+                        0 => Err(blame(&format!("b{}", rng.below(100)))),
+                        _ => Ok(()),
+                    };
+                    memo.insert(table, &k, generation, ns.epoch(), &outcome);
+                }
+                _ => memo.bump_namespace_epoch(id),
+            }
+        }
+        let stats = |hits, misses, invalidations, evictions| MemoStats {
+            hits,
+            misses,
+            invalidations,
+            evictions,
+        };
+        assert_eq!(digest.finish(), 0x9dea_8c81_7120_1b8b);
+        assert_eq!(memo.stats(), stats(238, 1526, 232, 579));
+        let rows: Vec<(String, u64, MemoStats)> =
+            memo.namespace_stats().into_iter().map(|r| (r.label, r.epoch, r.stats)).collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("golden-a".to_string(), 33, stats(64, 508, 93, 180)),
+                ("golden-b".to_string(), 18, stats(79, 523, 78, 182)),
+                ("golden-c".to_string(), 28, stats(95, 495, 61, 217)),
+            ]
+        );
+        assert_eq!(memo.shard_sizes(), vec![13, 16]);
     }
 }

@@ -50,7 +50,8 @@ use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Bump on any change to the binary layout; older files load as empty.
+/// Bump on any change to the binary layout, or to what a stored record
+/// means for an unchanged key; older files load as empty.
 ///
 /// History: v1 stored only type-check verdicts; v2 added the per-app lint
 /// section (`LINT01xx` findings keyed by plain semantic hash, replayed by
@@ -61,8 +62,11 @@ use std::path::Path;
 /// interprocedural through taint summaries); v4 added the whole-file
 /// FNV-1a checksum trailer, so random byte corruption anywhere in the file
 /// (not just in the header) degrades to an empty load — a silent cold
-/// re-check — instead of risking a structurally-parseable-but-wrong replay.
-pub const FORMAT_VERSION: u32 = 4;
+/// re-check — instead of risking a structurally-parseable-but-wrong replay;
+/// v5 changed no layout, but effect inference started walking parameter
+/// defaults, so a v4 summary of a method whose default calls or writes
+/// something would replay a stale verdict under an unchanged Merkle key.
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"CRDLCHK\x01";
 

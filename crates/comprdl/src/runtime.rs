@@ -27,10 +27,10 @@
 //! ## Sharing the memo across hooks
 //!
 //! The memo itself lives in a [`SharedMemo`]: a sharded, bounded,
-//! `Send + Sync` table — lock-free on the warm read path, see the
-//! [`crate::memo`] module docs — that any number of hooks (e.g. the
-//! per-app hooks of the parallel corpus harness, or the warm re-runs of
-//! the overhead harness) can share through an [`Arc`].  Entries are keyed
+//! `Send + Sync` table — one mutex per shard, see the [`crate::memo`]
+//! module docs — that any number of hooks (e.g. the per-app hooks of the
+//! parallel corpus harness, or the warm re-runs of the overhead harness)
+//! can share through an [`Arc`].  Entries are keyed
 //! on `(namespace, site, value fingerprint)`; hooks that must never
 //! exchange verdicts (different programs whose spans collide) use
 //! different namespaces, while replays of the *same* program reuse one

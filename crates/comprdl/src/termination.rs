@@ -23,6 +23,7 @@
 //! the inferred summary, [`annotation_conflicts`] reports a `TERM0004`
 //! warning rendering the inferred blame chain.
 
+use crate::env::CompRdl;
 use rdl_types::{PurityEffect, TermEffect};
 use ruby_syntax::{Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
@@ -250,6 +251,22 @@ impl EffectEnv {
             env.set(m, TermEffect::Terminates, PurityEffect::Impure);
         }
         env
+    }
+
+    /// The explicit effect layer of `env`: the builtins, then every
+    /// annotation's `terminates:`/`pure:` labels, then every registered
+    /// type-level helper as terminating and pure (helpers are trusted
+    /// wholesale).  The type checker consults this layer, and summary
+    /// inference starts from it, so both agree on every name it covers.
+    pub fn explicit_for(env: &CompRdl) -> Self {
+        let mut effects = EffectEnv::with_builtins();
+        for ((_, _, name), sig) in env.annotations.iter() {
+            effects.set(name, sig.term, sig.purity);
+        }
+        for name in env.helpers.names() {
+            effects.set(&name, TermEffect::Terminates, PurityEffect::Pure);
+        }
+        effects
     }
 
     /// Sets the explicit effects for a method name.

@@ -7,9 +7,9 @@
 //! the other:
 //!
 //! * [`CompRdl`] → [`SeedMap`] — the trusted base effects the inference
-//!   starts from, built **exactly** the way `TypeChecker::new` seeds its
-//!   own [`comprdl::EffectEnv`] (builtins, then `terminates:`/`pure:`
-//!   annotations, then registered helpers), so a method the checker
+//!   starts from: the explicit layer of [`comprdl::EffectEnv::explicit_for`]
+//!   (builtins, then `terminates:`/`pure:` annotations, then registered
+//!   helpers), the one `TypeChecker::new` installs, so a method the checker
 //!   already trusts is never "re-discovered" pessimistically;
 //! * [`analysis::MethodSummary`] → [`comprdl::InferredEffect`] — installs
 //!   the inferred layer *below* the explicit one in the type checker, and
@@ -62,22 +62,12 @@ fn effect_to_term(t: TermEffect) -> Term {
     }
 }
 
-/// Builds the trusted seed effects for summary inference, mirroring the
-/// seeding in `TypeChecker::new`: builtins from
-/// [`EffectEnv::with_builtins`], every `terminates:`/`pure:` annotation,
-/// and every registered type-level helper (blanket-trusted, as the checker
-/// does).  Using the same base environment on both sides means the
-/// checker's explicit layer and the inference's seeds can never disagree
-/// about a name they both know.
+/// Builds the trusted seed effects for summary inference from
+/// [`EffectEnv::explicit_for`], the same explicit layer `TypeChecker::new`
+/// installs, so the checker and the inference can never disagree about a
+/// name they both know.
 pub fn seed_map(env: &CompRdl) -> SeedMap {
-    let mut effects = EffectEnv::with_builtins();
-    for ((_, _, name), sig) in env.annotations.iter() {
-        effects.set(name, sig.term, sig.purity);
-    }
-    for name in env.helpers.names() {
-        effects.set(&name, TermEffect::Terminates, PurityEffect::Pure);
-    }
-    effects
+    EffectEnv::explicit_for(env)
         .explicit_effects()
         .map(|(name, term, purity)| {
             (

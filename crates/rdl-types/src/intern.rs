@@ -3,9 +3,9 @@
 //! Every check in this system — static comp-type evaluation and the
 //! inserted dynamic checks alike — bottoms out in structural walks over
 //! [`Type`] trees: subtyping recurses, fingerprinting digests every node,
-//! rendering rebuilds strings.  Once the memo layers read lock-free (PR 5)
-//! those walks *are* the hot path.  This module makes identity a handle
-//! instead of a traversal:
+//! rendering rebuilds strings.  Once the memo layers answer the repeated
+//! checks, those walks *are* the hot path.  This module makes identity a
+//! handle instead of a traversal:
 //!
 //! * [`intern`] deduplicates `Type` nodes bottom-up into a **global,
 //!   append-only arena**, so two structurally equal trees — built on any

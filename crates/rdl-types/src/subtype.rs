@@ -9,8 +9,9 @@
 //!    equality, so `sub == sup` costs two integer compares instead of a
 //!    tree walk.
 //! 2. **Verdict cache.**  Non-equal store-free pairs consult a global,
-//!    fixed-size seqlock slot table (the same lock-free read discipline as
-//!    comprdl's runtime memo) keyed `(sub_id, sup_id, class-table stamp)`.
+//!    fixed-size slot table split into mutex-guarded shards (the same
+//!    locking discipline as comprdl's runtime memo) keyed
+//!    `(sub_id, sup_id, class-table stamp)`.
 //!    The stamp ([`ClassTable::stamp`]) is globally unique and re-allocated
 //!    on every hierarchy mutation, so stale verdicts die with their stamp
 //!    and no invalidation traffic is needed.
@@ -28,63 +29,47 @@ use crate::intern::{self, Node, TypeId};
 use crate::store::{Constraint, TypeStore};
 use crate::ty::{HashKey, SingVal, Type};
 
-/// The global subtype-verdict cache: a fixed-size, sharded seqlock slot
-/// table.  Readers are lock-free (a bounded seqlock retry per probed
-/// slot); writers serialize per shard and evict with a rotating hand.
-/// Entries are keyed on interned type ids plus the class-table stamp, so
-/// a verdict can never outlive the exact hierarchy it was computed under.
+/// The global subtype-verdict cache: a fixed-size slot table split into
+/// shards, each a `Mutex` over its slots and its rotating eviction hand;
+/// every read and write locks the one shard its key hashes to.  Entries
+/// are keyed on interned type ids plus the class-table stamp, so a verdict
+/// can never outlive the exact hierarchy it was computed under.
 pub mod verdict_cache {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     const SHARDS: usize = 16;
-    /// Slots per shard (power of two): 32k verdicts total, ~1.5 MB.
+    /// Slots per shard (power of two): 32k verdicts total, ~0.75 MB.
     const SLOTS: usize = 2048;
-    /// Linear-probe window, mirroring the runtime memo's slot arrays.
+    /// Linear-probe window, mirroring the runtime memo's slot tables.
     const PROBE: usize = 8;
-    /// Bounded seqlock retries before a reader gives up on a slot mid-write
-    /// and treats it as a miss (a cache may always miss).
-    const SPIN: usize = 32;
-
-    struct Slot {
-        /// Seqlock word: odd while a writer is mid-update.
-        seq: AtomicU64,
-        /// `sub_id << 32 | sup_id`.
-        key: AtomicU64,
-        /// Class-table stamp; `0` marks an empty slot (real stamps start
-        /// at 1).
-        stamp: AtomicU64,
-        verdict: AtomicU64,
-    }
 
     struct Shard {
-        slots: Box<[Slot]>,
-        /// Serializes writers; holds the rotating eviction hand.
-        write: Mutex<usize>,
+        /// `(sub_id << 32 | sup_id, class-table stamp, verdict)`; stamp `0`
+        /// marks an empty slot (real stamps start at 1).
+        slots: Box<[(u64, u64, bool)]>,
+        /// Rotating eviction hand.
+        hand: usize,
     }
 
-    struct Table {
-        shards: Vec<Shard>,
-    }
-
-    fn table() -> &'static Table {
-        static TABLE: OnceLock<Table> = OnceLock::new();
-        TABLE.get_or_init(|| Table {
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    slots: (0..SLOTS)
-                        .map(|_| Slot {
-                            seq: AtomicU64::new(0),
-                            key: AtomicU64::new(0),
-                            stamp: AtomicU64::new(0),
-                            verdict: AtomicU64::new(0),
-                        })
-                        .collect(),
-                    write: Mutex::new(0),
-                })
-                .collect(),
-        })
+    /// Locks the shard `key` and `stamp` hash to and returns it with the
+    /// first slot of their probe window.
+    fn shard(key: u64, stamp: u64) -> (MutexGuard<'static, Shard>, usize) {
+        static TABLE: OnceLock<Vec<Mutex<Shard>>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            (0..SHARDS)
+                .map(|_| Mutex::new(Shard { slots: vec![(0, 0, false); SLOTS].into(), hand: 0 }))
+                .collect()
+        });
+        let mut fp = crate::fingerprint::Fingerprint::new();
+        fp.write_u64(key);
+        fp.write_u64(stamp);
+        let h = fp.finish();
+        // Every update writes one whole slot, so a shard poisoned by a
+        // panicking holder is still consistent.
+        let shard = table[(h >> 56) as usize % SHARDS].lock().unwrap_or_else(|e| e.into_inner());
+        (shard, h as usize % SLOTS)
     }
 
     static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -156,90 +141,36 @@ pub mod verdict_cache {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    fn place(key: u64, stamp: u64) -> (usize, usize) {
-        let mut fp = crate::fingerprint::Fingerprint::new();
-        fp.write_u64(key);
-        fp.write_u64(stamp);
-        let h = fp.finish();
-        ((h >> 56) as usize % SHARDS, h as usize % SLOTS)
-    }
-
     pub(super) fn pack(a: super::TypeId, b: super::TypeId) -> u64 {
         (u64::from(a.index()) << 32) | u64::from(b.index())
     }
 
-    /// Lock-free lookup; `None` on absence or reader give-up.
+    /// The cached verdict for `key` under `stamp`, if any.
     pub(super) fn get(key: u64, stamp: u64) -> Option<bool> {
-        let (si, start) = place(key, stamp);
-        let shard = &table().shards[si];
-        for i in 0..PROBE {
-            let slot = &shard.slots[(start + i) % SLOTS];
-            let mut spins = 0;
-            loop {
-                let s1 = slot.seq.load(Ordering::Acquire);
-                if s1 & 1 == 1 {
-                    spins += 1;
-                    if spins > SPIN {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let k = slot.key.load(Ordering::Acquire);
-                let st = slot.stamp.load(Ordering::Acquire);
-                let v = slot.verdict.load(Ordering::Acquire);
-                if slot.seq.load(Ordering::Acquire) != s1 {
-                    // Torn read: a writer raced us.  Retry (bounded).
-                    spins += 1;
-                    if spins > SPIN {
-                        break;
-                    }
-                    continue;
-                }
-                if st == stamp && k == key {
-                    return Some(v == 1);
-                }
-                break;
-            }
-        }
-        None
+        let (shard, start) = shard(key, stamp);
+        (0..PROBE)
+            .map(|i| shard.slots[(start + i) % SLOTS])
+            .find(|&(k, st, _)| st == stamp && k == key)
+            .map(|(_, _, verdict)| verdict)
     }
 
     pub(super) fn put(key: u64, stamp: u64, verdict: bool) {
-        let (si, start) = place(key, stamp);
-        let shard = &table().shards[si];
-        let mut hand = shard.write.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut shard, start) = shard(key, stamp);
         // Prefer the slot already holding this key, then an empty slot,
         // then the rotating victim.
-        let mut victim = None;
-        let mut empty = None;
-        for i in 0..PROBE {
-            let idx = (start + i) % SLOTS;
-            let slot = &shard.slots[idx];
-            let st = slot.stamp.load(Ordering::Relaxed);
-            if st == stamp && slot.key.load(Ordering::Relaxed) == key {
-                victim = Some((idx, false));
-                break;
-            }
-            if st == 0 && empty.is_none() {
-                empty = Some(idx);
-            }
-        }
-        let (idx, evicts) = victim.or(empty.map(|i| (i, false))).unwrap_or_else(|| {
-            let i = (start + *hand % PROBE) % SLOTS;
-            *hand = hand.wrapping_add(1);
-            (i, true)
+        let window = (0..PROBE).map(|i| (start + i) % SLOTS);
+        let existing = window.clone().find(|&i| {
+            let (k, st, _) = shard.slots[i];
+            st == stamp && k == key
         });
-        if evicts {
+        let idx = existing.or_else(|| window.clone().find(|&i| shard.slots[i].1 == 0));
+        let idx = idx.unwrap_or_else(|| {
+            let i = (start + shard.hand % PROBE) % SLOTS;
+            shard.hand = shard.hand.wrapping_add(1);
             count(&EVICTIONS, |s| &mut s.evictions);
-        }
-        let slot = &shard.slots[idx];
-        // Seqlock write: odd seq while the fields are inconsistent.
-        slot.seq.fetch_add(1, Ordering::AcqRel);
-        slot.key.store(key, Ordering::Release);
-        slot.stamp.store(stamp, Ordering::Release);
-        slot.verdict.store(u64::from(verdict), Ordering::Release);
-        slot.seq.fetch_add(1, Ordering::Release);
+            i
+        });
+        shard.slots[idx] = (key, stamp, verdict);
         count(&INSERTS, |s| &mut s.inserts);
     }
 

@@ -320,7 +320,7 @@ fn capacity_pressure_evicts_mid_read_without_changing_any_verdict() {
     const K: usize = 4;
     let seed = 0x5CA1Eu64;
     let expected = baseline(seed);
-    let memo = Arc::new(SharedMemo::with_settings(1, 8, false));
+    let memo = Arc::new(SharedMemo::with_settings(1, 8));
     assert_eq!(memo.capacity(), 8);
     let namespace = memo_namespace("prop-app");
     let results: Vec<Vec<BlameDiagnostic>> = std::thread::scope(|scope| {
@@ -354,7 +354,7 @@ fn concurrent_rewrites_of_one_slot_never_tear_a_read() {
     // readers continuously.  A torn read that survived validation would
     // surface as a bogus blame (the value always inhabits the expected
     // type) or a panic; neither may happen.
-    let memo = Arc::new(SharedMemo::with_settings(1, 8, false));
+    let memo = Arc::new(SharedMemo::with_settings(1, 8));
     let namespace = memo_namespace("torn");
     std::thread::scope(|scope| {
         for _ in 0..3 {
