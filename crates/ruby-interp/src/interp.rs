@@ -1060,4 +1060,140 @@ twice() { |x| x * 10 }
         let interp = Interpreter::new(prog);
         assert_eq!(interp.call("M", true, "f", vec![Value::Int(41)]).unwrap(), Value::Int(42));
     }
+
+    // ---- dispatch semantics ----------------------------------------------
+
+    #[test]
+    fn singleton_methods_are_inherited_through_the_chain() {
+        let src = r#"
+class Base
+  def self.make()
+    'base'
+  end
+  def self.kind()
+    'base kind'
+  end
+end
+class Mid < Base
+  def self.kind()
+    'mid kind'
+  end
+end
+class Leaf < Mid
+end
+[Leaf.make(), Leaf.kind(), Mid.make(), Base.kind()]
+"#;
+        assert_eq!(run_ok(src).inspect(), r#"["base", "mid kind", "base", "base kind"]"#);
+        // An instance method is not a singleton method, nor the reverse.
+        let src = "class A\n def inst()\n 1\n end\nend\nclass B < A\nend\nB.inst()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        let src = "class A\n def self.cls()\n 1\n end\nend\nclass B < A\nend\nB.new().cls()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+    }
+
+    #[test]
+    fn accessors_are_inherited_and_respect_their_kind() {
+        let src = r#"
+class Base
+  attr_accessor(:name)
+  attr_reader(:id)
+end
+class Child < Base
+  attr_writer(:id)
+end
+c = Child.new()
+c.name = 'alice'
+c.id = 7
+[c.name, c.id]
+"#;
+        // `id=` resolves to Child's writer; `id` skips it (writer only) and
+        // resolves to Base's reader.
+        assert_eq!(run_ok(src).inspect(), r#"["alice", 7]"#);
+        let src = "class R\n attr_reader(:x)\nend\nr = R.new()\nr.x = 1";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        let src = "class W\n attr_writer(:x)\nend\nw = W.new()\nw.x = 1\nw.x";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        // A user method wins over an accessor of the same name.
+        let src = "class U\n attr_accessor(:x)\n def x()\n 'method'\n end\nend\nu = U.new()\nu.x = 1\nu.x";
+        assert_eq!(run_ok(src), Value::str("method"));
+    }
+
+    #[test]
+    fn builtin_classes_can_be_reopened() {
+        let src = "class Integer\n def double()\n self * 2\n end\nend\n3.double";
+        assert_eq!(run_ok(src), Value::Int(6));
+        let src = "class String\n def shout()\n self.upcase() + '!'\n end\nend\n'hi'.shout()";
+        assert_eq!(run_ok(src), Value::str("HI!"));
+        // User definitions on a builtin class shadow the native method.
+        let src = "class Array\n def length()\n 99\n end\nend\n[1, 2].length()";
+        assert_eq!(run_ok(src), Value::Int(99));
+    }
+
+    #[test]
+    fn builtin_receivers_dispatch_only_to_their_exact_class() {
+        for recv in ["3", "'s'", "[]", "{}", "nil", ":sym", "1.5"] {
+            let src = format!("def helper()\n 1\nend\n{recv}.helper()");
+            assert_eq!(run(&src).unwrap_err().kind, ErrorKind::NoMethod, "{recv}.helper()");
+        }
+        // Methods on Numeric or Object are not inherited by builtins either.
+        let src = "class Numeric\n def twice()\n 2\n end\nend\n3.twice()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        let src = "class Object\n def twice()\n 2\n end\nend\n'x'.twice()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        // But a top-level `def` is reachable on user objects and self.
+        let src = "def helper()\n 1\nend\nclass K\nend\n[K.new().helper(), helper()]";
+        assert_eq!(run_ok(src).inspect(), "[1, 1]");
+    }
+
+    #[test]
+    fn is_a_follows_the_chain_and_the_numeric_tower() {
+        let src = r#"
+class A
+end
+class B < A
+end
+class C < B
+end
+c = C.new()
+[c.is_a?(C), c.is_a?(B), c.is_a?(A), c.is_a?(Object), A.new().is_a?(B), c.is_a?(Integer)]
+"#;
+        assert_eq!(run_ok(src).inspect(), "[true, true, true, true, false, false]");
+        let src = "[3.is_a?(Numeric), 1.5.is_a?(Numeric), 'x'.is_a?(Numeric), 3.is_a?(Float), \
+                   nil.is_a?(Object), true.is_a?(Boolean)]";
+        assert_eq!(run_ok(src).inspect(), "[true, true, false, false, true, true]");
+        let src = "class A\nend\nclass B < A\nend\ncase B.new()\nwhen Integer\n 1\nwhen A\n 2\nend";
+        assert_eq!(run_ok(src), Value::Int(2));
+    }
+
+    #[test]
+    fn blocks_mutating_their_receiver_see_the_pre_call_snapshot() {
+        let src = "a = [1, 2]\nn = 0\na.each { |x| a.push(x)\n n = n + 1 }\n[n, a.length()]";
+        assert_eq!(run_ok(src).inspect(), "[2, 4]");
+        let src = "a = [1, 2]\nb = a.select { |x| a.push(x)\n true }\n[b.length(), a.length()]";
+        assert_eq!(run_ok(src).inspect(), "[2, 4]");
+        let src = "a = [1, 2, 3]\nb = a.map { |x| a.pop()\n x }\n[b, a]";
+        assert_eq!(run_ok(src).inspect(), "[[1, 2, 3], []]");
+        let src = "h = { a: 1 }\nn = 0\nh.each { |k, v| h[:b] = 2\n n = n + 1 }\n[n, h.length()]";
+        assert_eq!(run_ok(src).inspect(), "[1, 2]");
+    }
+
+    #[test]
+    fn receivers_passed_as_their_own_argument() {
+        // The parser has no `<<` operator; call the method directly.
+        let interp = Interpreter::new(Program::empty());
+        let s = Value::str("ab");
+        let out = interp.invoke_method(Span::dummy(), &s, "<<", vec![s.clone()], None);
+        assert_eq!(out.ok(), Some(Value::str("abab")));
+        assert_eq!(s, Value::str("abab"));
+        let a = Value::array(vec![Value::Int(1)]);
+        interp.invoke_method(Span::dummy(), &a, "<<", vec![Value::Int(2)], None).ok();
+        assert_eq!(a.inspect(), "[1, 2]");
+        assert_eq!(run_ok("s = 'ab'\ns.concat(s)\ns + s"), Value::str("abababab"));
+        assert_eq!(run_ok("s = 'ab'\ns == s"), Value::Bool(true));
+        assert_eq!(run_ok("a = [1]\na[1] = a.length()\na"), run_ok("[1, 1]"));
+        assert_eq!(run_ok("a = [1, 2]\nb = a + a\nb.length()"), Value::Int(4));
+        assert_eq!(run_ok("a = [1, 2]\na.delete(a.first)\na"), run_ok("[2]"));
+        assert_eq!(run_ok("h = { a: 1 }\nh[:b] = h.length()\nh[:b]"), Value::Int(1));
+        assert_eq!(run_ok("h = { a: 1 }\nh.delete(:a)\nh.empty?()"), Value::Bool(true));
+    }
 }
