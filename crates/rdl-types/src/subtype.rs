@@ -470,6 +470,30 @@ mod tests {
         (ct, TypeStore::new())
     }
 
+    /// Serializes the tests that read or flip the process-global
+    /// verdict-cache switch, and restores the previous state on drop
+    /// (panic-safe): a test asserting cache hits must not run while another
+    /// has the cache off.
+    static CACHE_TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    struct CacheSwitch {
+        was: bool,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl CacheSwitch {
+        fn set(enabled: bool) -> Self {
+            let lock = CACHE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+            CacheSwitch { was: verdict_cache::set_enabled(enabled), _lock: lock }
+        }
+    }
+
+    impl Drop for CacheSwitch {
+        fn drop(&mut self) {
+            verdict_cache::set_enabled(self.was);
+        }
+    }
+
     #[test]
     fn reflexivity_and_top_bottom() {
         let (ct, store) = setup();
@@ -643,6 +667,7 @@ mod tests {
 
     #[test]
     fn cached_path_matches_structural_oracle() {
+        let _on = CacheSwitch::set(true);
         let (ct, store) = setup();
         let sub = Subtyper::new(&ct);
         let samples = [
@@ -717,11 +742,12 @@ mod tests {
             (Type::array(Type::nominal("Integer")), Type::array(Type::nominal("Numeric"))),
             (Type::nominal("String"), Type::nominal("Integer")),
         ];
-        let was = verdict_cache::set_enabled(false);
-        let off: Vec<bool> = pairs.iter().map(|(a, b)| sub.is_subtype(&store, a, b)).collect();
-        verdict_cache::set_enabled(true);
-        let on: Vec<bool> = pairs.iter().map(|(a, b)| sub.is_subtype(&store, a, b)).collect();
-        verdict_cache::set_enabled(was);
+        let verdicts = |enabled: bool| -> Vec<bool> {
+            let _switch = CacheSwitch::set(enabled);
+            pairs.iter().map(|(a, b)| sub.is_subtype(&store, a, b)).collect()
+        };
+        let off = verdicts(false);
+        let on = verdicts(true);
         assert_eq!(off, on);
         assert_eq!(on, vec![true, true, false]);
     }

@@ -11,6 +11,7 @@ use crate::error::{Control, ErrorKind, EvalResult};
 use crate::interp::Interpreter;
 use crate::value::{Closure, Value};
 use ruby_syntax::Span;
+use std::cell::Ref;
 
 /// Attempts to dispatch `recv.name(args)` to a native implementation.
 /// Returns `Ok(None)` if no native method with that name exists for the
@@ -122,7 +123,9 @@ fn array_method(
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
     let Value::Array(items_ref) = recv else { return Ok(None) };
-    let items = items_ref.borrow().clone();
+    // Reads borrow the receiver; mutating arms release that borrow first,
+    // and arms that run a block iterate over a snapshot.
+    let items = items_ref.borrow();
     let v = match name {
         "[]" | "at" | "slice" => {
             let idx = int_arg(args, 0, span)?;
@@ -131,6 +134,7 @@ fn array_method(
         "[]=" => {
             let idx = int_arg(args, 0, span)?;
             let value = arg(args, 1);
+            drop(items);
             let mut items = items_ref.borrow_mut();
             let idx =
                 if idx < 0 { (items.len() as i64 + idx).max(0) as usize } else { idx as usize };
@@ -145,11 +149,16 @@ fn array_method(
         "length" | "size" | "count" => Value::Int(items.len() as i64),
         "empty?" => Value::Bool(items.is_empty()),
         "push" | "append" | "<<" => {
+            drop(items);
             items_ref.borrow_mut().extend(args.iter().cloned());
             recv.clone()
         }
-        "pop" => items_ref.borrow_mut().pop().unwrap_or(Value::Nil),
+        "pop" => {
+            drop(items);
+            items_ref.borrow_mut().pop().unwrap_or(Value::Nil)
+        }
         "shift" => {
+            drop(items);
             let mut items = items_ref.borrow_mut();
             if items.is_empty() {
                 Value::Nil
@@ -158,6 +167,7 @@ fn array_method(
             }
         }
         "unshift" | "prepend" => {
+            drop(items);
             let mut items = items_ref.borrow_mut();
             for (i, a) in args.iter().enumerate() {
                 items.insert(i, a.clone());
@@ -181,7 +191,7 @@ fn array_method(
         }
         "uniq" => {
             let mut out: Vec<Value> = Vec::new();
-            for v in &items {
+            for v in items.iter() {
                 if !out.iter().any(|o| o.ruby_eq(v)) {
                     out.push(v.clone());
                 }
@@ -245,18 +255,20 @@ fn array_method(
         "min" => items.iter().cloned().min_by(compare_values).unwrap_or(Value::Nil),
         "sum" => {
             let mut acc = Value::Int(0);
-            for v in &items {
+            for v in items.iter() {
                 acc = numeric_binop(&acc, v, "+", span)?;
             }
             acc
         }
         "delete" => {
             let target = arg(args, 0);
+            drop(items);
             items_ref.borrow_mut().retain(|v| !v.ruby_eq(&target));
             target
         }
         "to_a" => recv.clone(),
         "map" | "collect" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "map")?;
             let mut out = Vec::with_capacity(items.len());
             for v in &items {
@@ -265,6 +277,7 @@ fn array_method(
             Value::array(out)
         }
         "each" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "each")?;
             for v in &items {
                 match interp.call_closure(block, std::slice::from_ref(v), span) {
@@ -276,6 +289,7 @@ fn array_method(
             recv.clone()
         }
         "each_with_index" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "each_with_index")?;
             for (i, v) in items.iter().enumerate() {
                 interp.call_closure(block, &[v.clone(), Value::Int(i as i64)], span)?;
@@ -283,6 +297,7 @@ fn array_method(
             recv.clone()
         }
         "select" | "filter" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "select")?;
             let mut out = Vec::new();
             for v in &items {
@@ -293,6 +308,7 @@ fn array_method(
             Value::array(out)
         }
         "reject" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "reject")?;
             let mut out = Vec::new();
             for v in &items {
@@ -303,6 +319,7 @@ fn array_method(
             Value::array(out)
         }
         "find" | "detect" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "find")?;
             let mut found = Value::Nil;
             for v in &items {
@@ -317,6 +334,7 @@ fn array_method(
             let mut result = false;
             match block {
                 Some(b) => {
+                    let items = snapshot(items);
                     for v in &items {
                         if interp.call_closure(b, std::slice::from_ref(v), span)?.truthy() {
                             result = true;
@@ -329,6 +347,7 @@ fn array_method(
             Value::Bool(result)
         }
         "all?" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "all?")?;
             let mut result = true;
             for v in &items {
@@ -340,6 +359,7 @@ fn array_method(
             Value::Bool(result)
         }
         "none?" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "none?")?;
             let mut result = true;
             for v in &items {
@@ -351,6 +371,7 @@ fn array_method(
             Value::Bool(result)
         }
         "reduce" | "inject" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "reduce")?;
             let mut acc = arg(args, 0);
             let mut iter = items.iter();
@@ -363,6 +384,7 @@ fn array_method(
             acc
         }
         "sort_by" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "sort_by")?;
             let mut keyed: Vec<(Value, Value)> = Vec::with_capacity(items.len());
             for v in &items {
@@ -372,6 +394,7 @@ fn array_method(
             Value::array(keyed.into_iter().map(|(_, v)| v).collect())
         }
         "group_by" => {
+            let items = snapshot(items);
             let block = require_block(block, span, "group_by")?;
             let out = Value::hash(vec![]);
             for v in &items {
@@ -386,6 +409,13 @@ fn array_method(
         _ => return Ok(None),
     };
     Ok(Some(v))
+}
+
+/// Copies a receiver's contents before a block runs: the block can re-enter
+/// the interpreter and mutate the receiver, but iterates what it had at the
+/// call.
+fn snapshot<T: Clone>(contents: Ref<'_, T>) -> T {
+    contents.clone()
 }
 
 fn index_array(items: &[Value], idx: i64) -> Value {
@@ -432,10 +462,12 @@ fn hash_method(
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
     let Value::Hash(pairs_ref) = recv else { return Ok(None) };
-    let pairs = pairs_ref.borrow().clone();
+    // Borrowed as in `array_method`.
+    let pairs = pairs_ref.borrow();
     let v = match name {
         "[]" => recv.hash_get(&arg(args, 0)).unwrap_or(Value::Nil),
         "[]=" | "store" => {
+            drop(pairs);
             let value = arg(args, 1);
             recv.hash_set(arg(args, 0), value.clone());
             value
@@ -464,6 +496,7 @@ fn hash_method(
         "delete" => {
             let key = arg(args, 0);
             let removed = recv.hash_get(&key).unwrap_or(Value::Nil);
+            drop(pairs);
             pairs_ref.borrow_mut().retain(|(k, _)| !k.ruby_eq(&key));
             removed
         }
@@ -477,9 +510,12 @@ fn hash_method(
             out
         }
         "merge!" | "update" => {
+            drop(pairs);
             if let Value::Hash(other) = arg(args, 0) {
-                for (k, v) in other.borrow().iter() {
-                    recv.hash_set(k.clone(), v.clone());
+                // A copy, so `h.merge!(h)` does not read `h` while writing it.
+                let other = other.borrow().clone();
+                for (k, v) in other {
+                    recv.hash_set(k, v);
                 }
             }
             recv.clone()
@@ -488,6 +524,7 @@ fn hash_method(
             pairs.iter().map(|(k, v)| Value::array(vec![k.clone(), v.clone()])).collect(),
         ),
         "each" | "each_pair" => {
+            let pairs = snapshot(pairs);
             let block = require_block(block, span, "each")?;
             for (k, v) in &pairs {
                 interp.call_closure(block, &[k.clone(), v.clone()], span)?;
@@ -495,6 +532,7 @@ fn hash_method(
             recv.clone()
         }
         "map" | "collect" => {
+            let pairs = snapshot(pairs);
             let block = require_block(block, span, "map")?;
             let mut out = Vec::with_capacity(pairs.len());
             for (k, v) in &pairs {
@@ -503,6 +541,7 @@ fn hash_method(
             Value::array(out)
         }
         "select" | "filter" => {
+            let pairs = snapshot(pairs);
             let block = require_block(block, span, "select")?;
             let mut out = Vec::new();
             for (k, v) in &pairs {
@@ -514,6 +553,7 @@ fn hash_method(
         }
         "any?" => match block {
             Some(b) => {
+                let pairs = snapshot(pairs);
                 let mut result = false;
                 for (k, v) in &pairs {
                     if interp.call_closure(b, &[k.clone(), v.clone()], span)?.truthy() {
@@ -526,6 +566,7 @@ fn hash_method(
             None => Value::Bool(!pairs.is_empty()),
         },
         "all?" => {
+            let pairs = snapshot(pairs);
             let block = require_block(block, span, "all?")?;
             let mut result = true;
             for (k, v) in &pairs {
@@ -537,6 +578,7 @@ fn hash_method(
             Value::Bool(result)
         }
         "none?" => {
+            let pairs = snapshot(pairs);
             let block = require_block(block, span, "none?")?;
             let mut result = true;
             for (k, v) in &pairs {
@@ -573,7 +615,7 @@ fn string_method(
     args: &[Value],
 ) -> EvalResult<Option<Value>> {
     let Value::Str(s_ref) = recv else { return Ok(None) };
-    let s = s_ref.borrow().clone();
+    let s = s_ref.borrow();
     let v = match name {
         "+" => match arg(args, 0) {
             Value::Str(other) => Value::str(format!("{}{}", s, other.borrow())),
@@ -587,6 +629,7 @@ fn string_method(
         },
         "*" => Value::str(s.repeat(int_arg(args, 0, span)?.max(0) as usize)),
         "<<" | "concat" => {
+            drop(s);
             if let Some(other) = arg(args, 0).as_str() {
                 s_ref.borrow_mut().push_str(&other);
             }
@@ -642,7 +685,7 @@ fn string_method(
         "to_s" | "to_str" => recv.clone(),
         "to_i" => Value::Int(s.trim().parse::<i64>().unwrap_or(0)),
         "to_f" => Value::Float(s.trim().parse::<f64>().unwrap_or(0.0)),
-        "to_sym" => Value::Sym(s),
+        "to_sym" => Value::Sym(s.clone()),
         "chars" => Value::array(s.chars().map(|c| Value::str(c.to_string())).collect()),
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
         "<=>" => match arg(args, 0).as_str() {
@@ -819,7 +862,7 @@ fn lambda_method(
 ) -> EvalResult<Option<Value>> {
     match name {
         "call" | "()" | "yield" => Ok(Some(interp.call_closure(closure, args, span)?)),
-        "arity" => Ok(Some(Value::Int(closure.params.len() as i64))),
+        "arity" => Ok(Some(Value::Int(closure.block.params.len() as i64))),
         _ => Ok(None),
     }
 }

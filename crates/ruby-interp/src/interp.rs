@@ -8,6 +8,7 @@ use ruby_syntax::{BinOp, Block, Expr, ExprKind, Item, LValue, MethodDef, Program
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Default evaluation fuel (one unit per AST node evaluated).
 const DEFAULT_FUEL: u64 = 20_000_000;
@@ -20,37 +21,57 @@ enum AccessorKind {
     Both,
 }
 
+/// The methods and accessors one class defines itself.
+#[derive(Default)]
+struct ClassDefs {
+    /// Instance methods (`[0]`) and singleton `def self.` methods (`[1]`),
+    /// by name.
+    methods: [HashMap<String, Rc<MethodDef>>; 2],
+    /// attribute → accessor kind.
+    accessors: HashMap<String, AccessorKind>,
+}
+
+/// What one class's names resolved to along its ancestor chain.
+struct Resolved {
+    /// The class, its superclasses, then the builtin fallbacks.
+    ancestors: Vec<String>,
+    /// Instance (`[0]`) and singleton (`[1]`) method lookups, misses included.
+    methods: [HashMap<String, Option<Rc<MethodDef>>>; 2],
+    /// Accessor lookups (`name` or `name=`) → the attribute, misses included.
+    accessors: HashMap<String, Option<Rc<str>>>,
+}
+
 /// Table of user-defined classes and methods extracted from a [`Program`].
+///
+/// The table never changes after load, so each `(class, singleton, name)`
+/// is resolved against the ancestor chain once and cached; a repeat lookup
+/// is two `&str` probes (class, then name) and allocates nothing.
 #[derive(Default)]
 struct MethodTable {
-    /// (class, is_singleton, name) → definition.
-    methods: HashMap<(String, bool, String), Rc<MethodDef>>,
+    /// class → its own definitions (`"Object"` holds top-level `def`s).
+    classes: HashMap<String, ClassDefs>,
     /// class → superclass.
     superclasses: HashMap<String, String>,
-    /// (class, attribute) → accessor kind.
-    accessors: HashMap<(String, String), AccessorKind>,
+    /// class → names resolved so far.
+    resolved: RefCell<HashMap<String, Resolved>>,
+    /// Ancestor-chain walks made to resolve a name.
+    #[cfg(test)]
+    walks: Cell<usize>,
 }
 
 impl MethodTable {
-    fn from_program(program: &Program) -> Self {
-        let mut table = MethodTable::default();
-        table.collect("Object", &program.items);
-        table
-    }
-
-    fn collect(&mut self, owner: &str, items: &[Item]) {
+    /// Moves the method definitions in `items` into the table and appends
+    /// the top-level expressions to `main`.
+    fn collect(&mut self, owner: &str, items: Vec<Item>, main: &mut Vec<Expr>) {
         for item in items {
             match item {
                 Item::Method(m) => {
-                    self.methods.insert(
-                        (owner.to_string(), m.singleton, m.name.clone()),
-                        Rc::new(m.clone()),
-                    );
+                    let defs = self.classes.entry(owner.to_string()).or_default();
+                    defs.methods[usize::from(m.singleton)].insert(m.name.clone(), Rc::new(m));
                 }
                 Item::Class(c) => {
-                    let sup = c.superclass.clone().unwrap_or_else(|| "Object".to_string());
+                    let sup = c.superclass.unwrap_or_else(|| "Object".to_string());
                     self.superclasses.insert(c.name.clone(), sup);
-                    self.collect(&c.name, &c.body);
                     // attr_accessor / attr_reader / attr_writer declarations.
                     for body_item in &c.body {
                         if let Item::Expr(e) = body_item {
@@ -62,32 +83,34 @@ impl MethodTable {
                                     _ => None,
                                 };
                                 if let Some(kind) = kind {
+                                    let defs = self.classes.entry(c.name.clone()).or_default();
                                     for arg in args {
                                         if let ExprKind::Sym(attr) = &arg.kind {
-                                            self.accessors
-                                                .insert((c.name.clone(), attr.clone()), kind);
+                                            defs.accessors.insert(attr.clone(), kind);
                                         }
                                     }
                                 }
                             }
                         }
                     }
+                    // Class bodies run no code of their own.
+                    self.collect(&c.name, c.body, &mut Vec::new());
                 }
-                Item::Expr(_) => {}
+                Item::Expr(e) => main.push(e),
             }
         }
     }
 
     fn ancestors(&self, class: &str) -> Vec<String> {
         let mut out = vec![class.to_string()];
-        let mut current = class.to_string();
+        let mut current = class;
         let mut fuel = 64;
         while fuel > 0 {
             fuel -= 1;
-            match self.superclasses.get(&current) {
+            match self.superclasses.get(current) {
                 Some(sup) => {
                     out.push(sup.clone());
-                    current = sup.clone();
+                    current = sup;
                 }
                 None => break,
             }
@@ -97,39 +120,82 @@ impl MethodTable {
             "Integer" | "Float" => out.push("Numeric".to_string()),
             _ => {}
         }
-        if !out.contains(&"Object".to_string()) {
+        if !out.iter().any(|c| c == "Object") {
             out.push("Object".to_string());
         }
         out
     }
 
-    fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<Rc<MethodDef>> {
-        for anc in self.ancestors(class) {
-            if let Some(m) = self.methods.get(&(anc, singleton, name.to_string())) {
-                return Some(m.clone());
-            }
+    /// Runs `f` on `class`'s resolution cache, building the class's
+    /// ancestor chain the first time the class is seen.
+    fn with_class<R>(&self, class: &str, f: impl FnOnce(&mut Resolved) -> R) -> R {
+        let mut resolved = self.resolved.borrow_mut();
+        if let Some(r) = resolved.get_mut(class) {
+            return f(r);
         }
-        None
+        let r = resolved.entry(class.to_string()).or_insert_with(|| Resolved {
+            ancestors: self.ancestors(class),
+            methods: Default::default(),
+            accessors: HashMap::new(),
+        });
+        f(r)
     }
 
-    fn accessor(&self, class: &str, name: &str) -> Option<(AccessorKind, String)> {
-        let (attr, is_writer) = match name.strip_suffix('=') {
-            Some(base) => (base.to_string(), true),
-            None => (name.to_string(), false),
-        };
-        for anc in self.ancestors(class) {
-            if let Some(kind) = self.accessors.get(&(anc, attr.clone())) {
-                let ok = match kind {
-                    AccessorKind::Both => true,
-                    AccessorKind::Reader => !is_writer,
-                    AccessorKind::Writer => is_writer,
-                };
-                if ok {
-                    return Some((*kind, attr));
-                }
+    /// Looks `name` up in the `cache` of `class`'s resolutions, resolving it
+    /// with `walk` over the ancestor chain on a miss.
+    fn resolve<T: Clone>(
+        &self,
+        class: &str,
+        name: &str,
+        cache: impl Fn(&mut Resolved) -> &mut HashMap<String, T>,
+        walk: impl FnOnce(&[String]) -> T,
+    ) -> T {
+        self.with_class(class, |r| {
+            if let Some(hit) = cache(r).get(name) {
+                return hit.clone();
             }
-        }
-        None
+            #[cfg(test)]
+            self.walks.set(self.walks.get() + 1);
+            let found = walk(&r.ancestors);
+            cache(r).insert(name.to_string(), found.clone());
+            found
+        })
+    }
+
+    fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<Rc<MethodDef>> {
+        let side = usize::from(singleton);
+        let walk = |ancestors: &[String]| {
+            ancestors.iter().find_map(|anc| self.classes.get(anc)?.methods[side].get(name).cloned())
+        };
+        self.resolve(class, name, |r| &mut r.methods[side], walk)
+    }
+
+    /// A method `class` itself defines (no inheritance).
+    fn own_method(&self, class: &str, name: &str) -> Option<Rc<MethodDef>> {
+        self.classes.get(class)?.methods[0].get(name).cloned()
+    }
+
+    /// The attribute an `attr_*` accessor named `name` reads (or, for
+    /// `name=`, writes) on instances of `class`.
+    fn accessor(&self, class: &str, name: &str) -> Option<Rc<str>> {
+        let (attr, is_writer) = match name.strip_suffix('=') {
+            Some(base) => (base, true),
+            None => (name, false),
+        };
+        let grants = |anc: &String| match self.classes.get(anc).and_then(|d| d.accessors.get(attr))
+        {
+            Some(AccessorKind::Both) => true,
+            Some(AccessorKind::Reader) => !is_writer,
+            Some(AccessorKind::Writer) => is_writer,
+            None => false,
+        };
+        let walk = |ancestors: &[String]| ancestors.iter().any(grants).then(|| Rc::from(attr));
+        self.resolve(class, name, |r| &mut r.accessors, walk)
+    }
+
+    /// True if `ancestor` is on `class`'s ancestor chain.
+    fn inherits(&self, class: &str, ancestor: &str) -> bool {
+        self.with_class(class, |r| r.ancestors.iter().any(|a| a == ancestor))
     }
 
     fn is_class(&self, name: &str) -> bool {
@@ -163,7 +229,8 @@ impl Frame {
 /// The Ruby-subset interpreter.
 pub struct Interpreter {
     table: MethodTable,
-    program: Program,
+    /// The program's top-level expressions, in order.
+    main: Vec<Expr>,
     globals: RefCell<HashMap<String, Value>>,
     constants: RefCell<HashMap<String, Value>>,
     class_ivars: RefCell<HashMap<(String, String), Value>>,
@@ -178,9 +245,12 @@ impl Interpreter {
     /// are registered immediately; top-level expressions run when
     /// [`Interpreter::eval_program`] is called).
     pub fn new(program: Program) -> Self {
+        let mut table = MethodTable::default();
+        let mut main = Vec::new();
+        table.collect("Object", program.items, &mut main);
         Interpreter {
-            table: MethodTable::from_program(&program),
-            program,
+            table,
+            main,
             globals: RefCell::new(HashMap::new()),
             constants: RefCell::new(HashMap::new()),
             class_ivars: RefCell::new(HashMap::new()),
@@ -236,13 +306,11 @@ impl Interpreter {
     pub fn eval_program(&self) -> Result<Value, RubyError> {
         let frame = Frame::top_level();
         let mut last = Value::Nil;
-        for item in &self.program.items.clone() {
-            if let Item::Expr(e) = item {
-                match self.eval(&frame, e) {
-                    Ok(v) => last = v,
-                    Err(Control::Return(v)) => return Ok(v),
-                    Err(c) => return Err(crate::error::into_error(c)),
-                }
+        for e in &self.main {
+            match self.eval(&frame, e) {
+                Ok(v) => last = v,
+                Err(Control::Return(v)) => return Ok(v),
+                Err(c) => return Err(crate::error::into_error(c)),
             }
         }
         Ok(last)
@@ -468,7 +536,7 @@ impl Interpreter {
         Ok(last)
     }
 
-    fn make_closure(&self, frame: &Frame, block: &Block) -> Rc<Closure> {
+    fn make_closure(&self, frame: &Frame, block: &Arc<Block>) -> Rc<Closure> {
         Rc::new(Closure::from_block(block, frame.locals.clone(), frame.self_val.clone()))
     }
 
@@ -481,8 +549,8 @@ impl Interpreter {
         self.burn(span)?;
         {
             let mut locals = closure.locals.borrow_mut();
-            for (i, p) in closure.params.iter().enumerate() {
-                locals.insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Nil));
+            for (i, p) in closure.block.params.iter().enumerate() {
+                set_local(&mut locals, p, args.get(i).cloned().unwrap_or(Value::Nil));
             }
         }
         let frame = Frame {
@@ -491,7 +559,7 @@ impl Interpreter {
             block: None,
         };
         let mut last = Value::Nil;
-        for e in &closure.body {
+        for e in &closure.block.body {
             match self.eval(&frame, e) {
                 Ok(v) => last = v,
                 Err(Control::Next(v)) => return Ok(v),
@@ -569,9 +637,7 @@ impl Interpreter {
 
     fn assign(&self, frame: &Frame, span: Span, target: &LValue, value: Value) -> EvalResult<()> {
         match target {
-            LValue::Local(name) => {
-                frame.locals.borrow_mut().insert(name.clone(), value);
-            }
+            LValue::Local(name) => set_local(&mut frame.locals.borrow_mut(), name, value),
             LValue::IVar(name) => self.write_ivar(&frame.self_val, name, value),
             LValue::GVar(name) => {
                 self.globals.borrow_mut().insert(name.clone(), value);
@@ -681,8 +747,9 @@ impl Interpreter {
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
             Value::Object(obj) => {
-                let class = obj.borrow().class.clone();
-                if let Some(def) = self.table.lookup(&class, false, name) {
+                // Resolve before running: the body may write the object's ivars.
+                let def = self.table.lookup(&obj.borrow().class, false, name);
+                if let Some(def) = def {
                     return Ok(Some(self.run_method_def(
                         &def,
                         recv.clone(),
@@ -691,7 +758,8 @@ impl Interpreter {
                         span,
                     )?));
                 }
-                if let Some((_, attr)) = self.table.accessor(&class, name) {
+                let accessor = self.table.accessor(&obj.borrow().class, name);
+                if let Some(attr) = accessor {
                     if name.ends_with('=') {
                         let value = args.first().cloned().unwrap_or(Value::Nil);
                         self.write_ivar(recv, &attr, value.clone());
@@ -704,17 +772,15 @@ impl Interpreter {
             other => {
                 // User code may monkey-patch builtin classes; check user
                 // definitions first, then the native core library.
-                let class = other.class_name();
-                if let Some(def) = self.table.lookup(&class, false, name) {
-                    if self.table.methods.contains_key(&(class, false, name.to_string())) {
-                        return Ok(Some(self.run_method_def(
-                            &def,
-                            recv.clone(),
-                            args,
-                            block.clone(),
-                            span,
-                        )?));
-                    }
+                let class = other.builtin_class_name().unwrap_or_default();
+                if let Some(def) = self.table.own_method(class, name) {
+                    return Ok(Some(self.run_method_def(
+                        &def,
+                        recv.clone(),
+                        args,
+                        block.clone(),
+                        span,
+                    )?));
                 }
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
@@ -832,8 +898,7 @@ impl Interpreter {
 
     /// True if `value` is an instance of `class` (or a subclass).
     pub fn value_is_a(&self, value: &Value, class: &str) -> bool {
-        let actual = value.class_name();
-        if actual == class || class == "Object" {
+        if class == "Object" {
             return true;
         }
         // Boolean pseudo-class.
@@ -843,7 +908,21 @@ impl Interpreter {
         if class == "Numeric" && matches!(value, Value::Int(_) | Value::Float(_)) {
             return true;
         }
-        self.table.ancestors(&actual).iter().any(|a| a == class)
+        let inherits = |actual: &str| actual == class || self.table.inherits(actual, class);
+        match value {
+            Value::Object(o) => inherits(&o.borrow().class),
+            builtin => inherits(builtin.builtin_class_name().unwrap_or_default()),
+        }
+    }
+}
+
+/// Binds local `name`, reusing the existing key when it is already bound.
+fn set_local(locals: &mut HashMap<String, Value>, name: &str, value: Value) {
+    match locals.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            locals.insert(name.to_string(), value);
+        }
     }
 }
 
@@ -1193,7 +1272,60 @@ c = C.new()
         assert_eq!(run_ok("a = [1]\na[1] = a.length()\na"), run_ok("[1, 1]"));
         assert_eq!(run_ok("a = [1, 2]\nb = a + a\nb.length()"), Value::Int(4));
         assert_eq!(run_ok("a = [1, 2]\na.delete(a.first)\na"), run_ok("[2]"));
+        assert_eq!(run_ok("h = { a: 1 }\nh.merge!(h)\nh.length()"), Value::Int(1));
         assert_eq!(run_ok("h = { a: 1 }\nh[:b] = h.length()\nh[:b]"), Value::Int(1));
         assert_eq!(run_ok("h = { a: 1 }\nh.delete(:a)\nh.empty?()"), Value::Bool(true));
+    }
+
+    #[test]
+    fn each_name_is_resolved_once_per_interpreter() {
+        let src = r#"
+class Base
+  attr_accessor(:name)
+  def self.build(name)
+    b = new()
+    b.name = name
+    b
+  end
+  def label()
+    'base:' + name
+  end
+end
+class Leaf < Base
+  def label()
+    super_label() + '!'
+  end
+  def super_label()
+    'leaf:' + name
+  end
+end
+class Integer
+  def double()
+    self * 2
+  end
+end
+items = [Base.build('a'), Leaf.build('b'), Leaf.build('c')]
+labels = items.map { |i| i.label() }
+assert(labels.length() == 3)
+assert(items.select { |i| i.is_a?(Base) }.length() == 3)
+assert(3.double == 6)
+assert([1, 2].map { |x| x.double }.sum() == 6)
+"#;
+        let interp = Interpreter::new(parse_program_strict(src).unwrap());
+        interp.eval_program().unwrap();
+        let walks = interp.table.walks.get();
+        let resolved: usize = interp
+            .table
+            .resolved
+            .borrow()
+            .values()
+            .map(|r| r.methods[0].len() + r.methods[1].len() + r.accessors.len())
+            .sum();
+        assert!(walks > 0);
+        // One walk per distinct (class, singleton, name) resolved ...
+        assert_eq!(walks, resolved);
+        // ... and none at all once every call site is warm.
+        interp.eval_program().unwrap();
+        assert_eq!(interp.table.walks.get(), walks);
     }
 }

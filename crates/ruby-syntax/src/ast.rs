@@ -8,6 +8,7 @@
 //! attribute assignment) and `return`.
 
 use crate::span::Span;
+use std::sync::Arc;
 
 /// A whole source file: a sequence of top-level items.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,8 +236,9 @@ pub enum ExprKind {
         name: String,
         /// Positional arguments.
         args: Vec<Expr>,
-        /// Optional literal block.
-        block: Option<Block>,
+        /// Optional literal block, shared with every closure the
+        /// interpreter makes from it.
+        block: Option<Arc<Block>>,
     },
     /// Short-circuit boolean operation.
     BoolOp { op: BinOp, lhs: Box<Expr>, rhs: Box<Expr> },
@@ -269,7 +271,7 @@ pub enum ExprKind {
     /// `next`.
     Next,
     /// A stabby lambda `->(x) { body }`.
-    Lambda(Block),
+    Lambda(Arc<Block>),
     /// A type cast `RDL.type_cast(e, "T")`, preserved specially so the
     /// checker can count casts.  `ty` is the annotation source text.
     TypeCast { expr: Box<Expr>, ty: String },

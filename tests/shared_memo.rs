@@ -12,9 +12,10 @@
 //! whenever any hook of that namespace's store mutates in between.  The
 //! flip side — one namespace's migrations must *not* flush another's warm
 //! entries, since namespaces never share keys — is property-tested here
-//! too, as are the lock-free read path's failure modes: evictions under
-//! capacity pressure and torn reads under concurrent slot rewrites, neither
-//! of which may ever change a verdict.
+//! too, as is concurrency inside one shard, whose lookups, inserts and
+//! evictions all run under that shard's mutex: CLOCK evictions under
+//! capacity pressure and many threads rewriting the same slot at once, and
+//! neither may ever change a verdict.
 
 use comprdl::{
     memo_namespace, BlameDiagnostic, CheckConfig, CompRdlHook, ConsistencyCheck, HelperRegistry,
