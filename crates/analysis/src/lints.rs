@@ -8,10 +8,16 @@
 //! | `LINT0104` | unreachable code after `return`/`raise`/`break`/`next`     |
 //! | `LINT0105` | parameter-derived value concatenated into a SQL fragment   |
 //!
-//! Every lint is deterministic: facts are `BTreeSet`s, blocks are scanned
-//! in id order, and findings are sorted with the same span-then-code key
-//! as [`diagnostics::DiagnosticBag::sort_by_span_then_code`], so a
-//! sequential and a parallel run render byte-identical output.  Findings
+//! Each linted method numbers its locals densely once (parameters, then
+//! every name the body reads or assigns, in one walk), and the dataflow
+//! facts are word bitsets over those slots: a join is a word-wise `&` or
+//! `|`, and a transfer sets bits without allocating.  The bitsets hold any
+//! number of locals.
+//!
+//! Every lint is deterministic: blocks are scanned in id order, and
+//! findings are sorted with the same span-then-code key as
+//! [`diagnostics::DiagnosticBag::sort_by_span_then_code`], so a sequential
+//! and a parallel run render byte-identical output.  Findings
 //! carry the method's [`semhash`](ruby_syntax::method_hash) so the corpus
 //! pipeline can freeze them into the on-disk check cache and replay them
 //! without re-linting (see `comprdl::persist`).
@@ -34,10 +40,8 @@ use crate::dataflow::{solve, DataflowProblem, Direction};
 use crate::summaries::ProgramSummaries;
 use diagnostics::{Diagnostic, Span};
 use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef, Program};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-type Names = BTreeSet<String>;
 
 /// Use before definition.
 pub const USE_BEFORE_DEF: &str = "LINT0101";
@@ -120,16 +124,89 @@ impl From<LintFinding> for Diagnostic {
 }
 
 // ---------------------------------------------------------------------------
+// Slot bitsets
+// ---------------------------------------------------------------------------
+
+/// A set of one method's local slots (see [`Locals`]): one bit per slot,
+/// 64 to a word, for any number of locals.  A name without a slot is never
+/// in the set: `contains` is false, and `insert`/`remove` do nothing.
+#[derive(Debug, PartialEq, Eq)]
+struct Slots(Vec<u64>);
+
+#[cfg(test)]
+thread_local! {
+    /// Fact words copied (by the dataflow solver and the scans) on this
+    /// thread, for the linear-work tests.
+    static WORDS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Clone for Slots {
+    fn clone(&self) -> Slots {
+        #[cfg(test)]
+        WORDS_COPIED.with(|c| c.set(c.get() + self.0.len()));
+        Slots(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Slots) {
+        #[cfg(test)]
+        WORDS_COPIED.with(|c| c.set(c.get() + source.0.len()));
+        self.0.clone_from(&source.0);
+    }
+}
+
+impl Slots {
+    /// The empty set over `len` slots.
+    fn empty(len: usize) -> Slots {
+        Slots(vec![0; len.div_ceil(64)])
+    }
+
+    fn contains(&self, slot: Option<usize>) -> bool {
+        slot.is_some_and(|s| self.0[s / 64] & (1 << (s % 64)) != 0)
+    }
+
+    /// Adds `slot`; returns whether it was not already present.
+    fn insert(&mut self, slot: Option<usize>) -> bool {
+        let Some(s) = slot else { return false };
+        let word = &mut self.0[s / 64];
+        let fresh = *word & (1 << (s % 64)) == 0;
+        *word |= 1 << (s % 64);
+        fresh
+    }
+
+    fn remove(&mut self, slot: Option<usize>) {
+        if let Some(s) = slot {
+            self.0[s / 64] &= !(1 << (s % 64));
+        }
+    }
+
+    fn intersect_with(&mut self, other: &Slots) {
+        for (w, o) in self.0.iter_mut().zip(&other.0) {
+            *w &= o;
+        }
+    }
+
+    fn union_with(&mut self, other: &Slots) {
+        for (w, o) in self.0.iter_mut().zip(&other.0) {
+            *w |= o;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Name walking with block-parameter shadowing
 // ---------------------------------------------------------------------------
 
 /// Receives local-variable uses and definitions during an in-order walk.
-trait NameSink {
-    fn on_use(&mut self, _e: &Expr, _name: &str) {}
-    fn on_def(&mut self, _e: &Expr, _name: &str) {}
+trait NameSink<'a> {
+    fn on_use(&mut self, _e: &'a Expr, _name: &'a str) {}
+    fn on_def(&mut self, _e: &'a Expr, _name: &'a str) {}
+    /// A read or assignment of a name a block parameter shadows here.  The
+    /// slot map numbers these too, because the sink scan re-evaluates
+    /// sub-expressions of a block body without its shadowing.
+    fn on_shadowed(&mut self, _name: &'a str) {}
 }
 
-fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
+fn shadowed(shadow: &[&[String]], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 
@@ -137,15 +214,26 @@ fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
 /// (optimistically, including nested ones) local definitions.  Block and
 /// lambda parameters shadow method locals of the same name for the
 /// duration of their body.
-fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) {
-    let walk_all = |exprs: &[Expr], shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink| {
-        for e in exprs {
-            walk_names(e, shadow, sink);
+fn walk_names<'a>(e: &'a Expr, shadow: &mut Vec<&'a [String]>, sink: &mut dyn NameSink<'a>) {
+    let walk_all =
+        |exprs: &'a [Expr], shadow: &mut Vec<&'a [String]>, sink: &mut dyn NameSink<'a>| {
+            for e in exprs {
+                walk_names(e, shadow, sink);
+            }
+        };
+    // A local assignment target: a definition unless shadowed.
+    let def = |target: &'a LValue, shadow: &[&[String]], sink: &mut dyn NameSink<'a>| {
+        if let LValue::Local(n) = target {
+            if shadowed(shadow, n) {
+                sink.on_shadowed(n);
+            } else {
+                sink.on_def(e, n);
+            }
         }
     };
     match &e.kind {
         ExprKind::Ident(n) if !shadowed(shadow, n) => sink.on_use(e, n),
-        ExprKind::Ident(_) => {}
+        ExprKind::Ident(n) => sink.on_shadowed(n),
         ExprKind::Assign { target, value } => {
             match target {
                 LValue::Index { recv, index } => {
@@ -156,11 +244,7 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
                 _ => {}
             }
             walk_names(value, shadow, sink);
-            if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    sink.on_def(e, n);
-                }
-            }
+            def(target, shadow, sink);
         }
         ExprKind::OpAssign { target, op, value } => {
             match target {
@@ -178,11 +262,7 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
                 _ => {}
             }
             walk_names(value, shadow, sink);
-            if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    sink.on_def(e, n);
-                }
-            }
+            def(target, shadow, sink);
         }
         ExprKind::Call { recv, args, block, .. } => {
             if let Some(r) = recv {
@@ -190,13 +270,13 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
             }
             walk_all(args, shadow, sink);
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 walk_all(&b.body, shadow, sink);
                 shadow.pop();
             }
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             walk_all(&b.body, shadow, sink);
             shadow.pop();
         }
@@ -238,69 +318,134 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
     }
 }
 
-/// Every local assigned anywhere in the body, with the span of its first
-/// assignment, in walk order.
-fn assigned_locals(body: &[Expr]) -> BTreeMap<String, Span> {
-    struct Defs(BTreeMap<String, Span>);
-    impl NameSink for Defs {
-        fn on_def(&mut self, e: &Expr, name: &str) {
-            self.0.entry(name.to_string()).or_insert(e.span);
-        }
-    }
-    let mut sink = Defs(BTreeMap::new());
-    for stmt in body {
-        walk_names(stmt, &mut Vec::new(), &mut sink);
-    }
-    sink.0
+/// One method's locals, numbered densely: the parameters first, then every
+/// name the body reads or assigns as a local (shadowed or not), in walk
+/// order.  Built in one walk of the body, together with the span of each
+/// local's first assignment and whether the body reads it.
+struct Locals<'a> {
+    slots: HashMap<&'a str, usize>,
+    names: Vec<&'a str>,
+    /// The span of each slot's first unshadowed assignment, if any.
+    first_def: Vec<Option<Span>>,
+    /// Whether the body reads each slot unshadowed.
+    read: Vec<bool>,
 }
 
-/// Every local read anywhere in the body.
-fn used_locals(body: &[Expr]) -> Names {
-    struct Uses(Names);
-    impl NameSink for Uses {
-        fn on_use(&mut self, _e: &Expr, name: &str) {
-            self.0.insert(name.to_string());
+impl<'a> Locals<'a> {
+    fn collect(def: &'a MethodDef) -> Locals<'a> {
+        let mut locals = Locals {
+            slots: HashMap::new(),
+            names: Vec::new(),
+            first_def: Vec::new(),
+            read: Vec::new(),
+        };
+        for p in &def.params {
+            locals.intern(&p.name);
+        }
+        for stmt in &def.body {
+            walk_names(stmt, &mut Vec::new(), &mut locals);
+        }
+        locals
+    }
+
+    fn intern(&mut self, name: &'a str) -> usize {
+        if let Some(&s) = self.slots.get(name) {
+            return s;
+        }
+        let s = self.names.len();
+        self.slots.insert(name, s);
+        self.names.push(name);
+        self.first_def.push(None);
+        self.read.push(false);
+        s
+    }
+
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.slots.get(name).copied()
+    }
+
+    fn empty(&self) -> Slots {
+        Slots::empty(self.names.len())
+    }
+
+    /// The set of the given names' slots.
+    fn set_of<'n>(&self, names: impl IntoIterator<Item = &'n str>) -> Slots {
+        let mut set = self.empty();
+        for name in names {
+            set.insert(self.slot(name));
+        }
+        set
+    }
+}
+
+impl<'a> NameSink<'a> for Locals<'a> {
+    fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
+        let s = self.intern(name);
+        self.read[s] = true;
+    }
+    fn on_def(&mut self, e: &'a Expr, name: &'a str) {
+        let s = self.intern(name);
+        self.first_def[s].get_or_insert(e.span);
+    }
+    fn on_shadowed(&mut self, name: &'a str) {
+        self.intern(name);
+    }
+}
+
+/// Adds every local definition (`defs`) or use (`!defs`) to `fact`.
+struct Mark<'l, 'a, 'f> {
+    locals: &'l Locals<'a>,
+    fact: &'f mut Slots,
+    defs: bool,
+}
+
+impl<'a> NameSink<'a> for Mark<'_, 'a, '_> {
+    fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
+        if !self.defs {
+            self.fact.insert(self.locals.slot(name));
         }
     }
-    let mut sink = Uses(Names::new());
-    for stmt in body {
-        walk_names(stmt, &mut Vec::new(), &mut sink);
+    fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
+        if self.defs {
+            self.fact.insert(self.locals.slot(name));
+        }
     }
-    sink.0
+}
+
+fn mark_defs<'a>(locals: &Locals<'a>, stmt: &'a Expr, fact: &mut Slots) {
+    walk_names(stmt, &mut Vec::new(), &mut Mark { locals, fact, defs: true });
+}
+
+fn mark_uses<'a>(locals: &Locals<'a>, stmt: &'a Expr, fact: &mut Slots) {
+    walk_names(stmt, &mut Vec::new(), &mut Mark { locals, fact, defs: false });
 }
 
 // ---------------------------------------------------------------------------
 // LINT0101: definite assignment (forward must-analysis)
 // ---------------------------------------------------------------------------
 
-struct DefiniteAssign {
-    universe: Names,
-    params: Names,
+struct DefiniteAssign<'l, 'a> {
+    locals: &'l Locals<'a>,
+    universe: Slots,
+    params: Slots,
 }
 
-struct InsertDefs<'f>(&'f mut Names);
-impl NameSink for InsertDefs<'_> {
-    fn on_def(&mut self, _e: &Expr, name: &str) {
-        self.0.insert(name.to_string());
-    }
-}
-
-impl<'a> DataflowProblem<'a> for DefiniteAssign {
-    type Fact = Names;
+impl<'a> DataflowProblem<'a> for DefiniteAssign<'_, 'a> {
+    type Fact = Slots;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names {
+    fn boundary(&self) -> Slots {
         self.params.clone()
     }
-    fn top(&self) -> Names {
+    fn top(&self) -> Slots {
         self.universe.clone()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
-        into.retain(|n| from.contains(n));
+    fn join(&self, into: &mut Slots, from: &Slots) {
+        into.intersect_with(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
-        walk_names(stmt, &mut Vec::new(), &mut InsertDefs(fact));
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Slots) {
+        mark_defs(self.locals, stmt, fact);
     }
 }
 
@@ -308,37 +453,32 @@ impl<'a> DataflowProblem<'a> for DefiniteAssign {
 // LINT0103: liveness (backward may-analysis)
 // ---------------------------------------------------------------------------
 
-struct Liveness;
-
-struct InsertUses<'f>(&'f mut Names);
-impl NameSink for InsertUses<'_> {
-    fn on_use(&mut self, _e: &Expr, name: &str) {
-        self.0.insert(name.to_string());
-    }
+struct Liveness<'l, 'a> {
+    locals: &'l Locals<'a>,
 }
 
-impl<'a> DataflowProblem<'a> for Liveness {
-    type Fact = Names;
+impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
+    type Fact = Slots;
     fn direction(&self) -> Direction {
         Direction::Backward
     }
-    fn boundary(&self) -> Names {
-        Names::new()
+    fn boundary(&self) -> Slots {
+        self.locals.empty()
     }
-    fn top(&self) -> Names {
-        Names::new()
+    fn top(&self) -> Slots {
+        self.locals.empty()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
-        into.extend(from.iter().cloned());
+    fn join(&self, into: &mut Slots, from: &Slots) {
+        into.union_with(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Slots) {
         // Only a statement-position `x = v` kills `x`; nested assignments
         // conservatively leave liveness alone.
         if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-            fact.remove(n);
-            walk_names(value, &mut Vec::new(), &mut InsertUses(fact));
+            fact.remove(self.locals.slot(n));
+            mark_uses(self.locals, value, fact);
         } else {
-            walk_names(stmt, &mut Vec::new(), &mut InsertUses(fact));
+            mark_uses(self.locals, stmt, fact);
         }
     }
 }
@@ -347,103 +487,110 @@ impl<'a> DataflowProblem<'a> for Liveness {
 // LINT0105: SQL interpolation taint (forward may-analysis)
 // ---------------------------------------------------------------------------
 
-struct TaintWithParams<'s> {
-    params: Names,
+/// What taint evaluation reads besides the fact itself.
+#[derive(Clone, Copy)]
+struct TaintCtx<'s, 'a> {
+    locals: &'s Locals<'a>,
     summaries: Option<&'s ProgramSummaries>,
 }
 
-impl<'a> DataflowProblem<'a> for TaintWithParams<'_> {
-    type Fact = Names;
+struct TaintWithParams<'s, 'a> {
+    cx: TaintCtx<'s, 'a>,
+    params: Slots,
+}
+
+impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
+    type Fact = Slots;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names {
+    fn boundary(&self) -> Slots {
         self.params.clone()
     }
-    fn top(&self) -> Names {
-        Names::new()
+    fn top(&self) -> Slots {
+        self.cx.locals.empty()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
-        into.extend(from.iter().cloned());
+    fn join(&self, into: &mut Slots, from: &Slots) {
+        into.union_with(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
-        taint_eval(stmt, fact, &mut Vec::new(), self.summaries, &mut |_, _, _| {});
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Slots) {
+        taint_eval(stmt, fact, &mut Vec::new(), self.cx, &mut |_, _, _| {});
     }
 }
 
 /// Evaluates `e` for taint: returns whether its value is derived from a
 /// tainted name, updates `fact` across assignments, and invokes
 /// `on_sink(call, arg_index, fact)` on every sink argument — the first
-/// argument of a literal SQL-sink call, plus (when `summaries` are
-/// supplied) every argument a callee's summary routes into a sink.
-fn taint_eval(
-    e: &Expr,
-    fact: &mut Names,
-    shadow: &mut Vec<Vec<String>>,
-    summaries: Option<&ProgramSummaries>,
-    on_sink: &mut dyn FnMut(&Expr, usize, &Names),
+/// argument of a literal SQL-sink call, plus (when summaries are supplied)
+/// every argument a callee's summary routes into a sink.
+fn taint_eval<'a>(
+    e: &'a Expr,
+    fact: &mut Slots,
+    shadow: &mut Vec<&'a [String]>,
+    cx: TaintCtx<'_, 'a>,
+    on_sink: &mut dyn FnMut(&'a Expr, usize, &Slots),
 ) -> bool {
     match &e.kind {
-        ExprKind::Ident(n) => !shadowed(shadow, n) && fact.contains(n),
+        ExprKind::Ident(n) => !shadowed(shadow, n) && fact.contains(cx.locals.slot(n)),
         ExprKind::Array(items) => {
             let mut t = false;
             for item in items {
-                t |= taint_eval(item, fact, shadow, summaries, on_sink);
+                t |= taint_eval(item, fact, shadow, cx, on_sink);
             }
             t
         }
         ExprKind::Hash(pairs) => {
             let mut t = false;
             for (k, v) in pairs {
-                t |= taint_eval(k, fact, shadow, summaries, on_sink);
-                t |= taint_eval(v, fact, shadow, summaries, on_sink);
+                t |= taint_eval(k, fact, shadow, cx, on_sink);
+                t |= taint_eval(v, fact, shadow, cx, on_sink);
             }
             t
         }
         ExprKind::Assign { target, value } => {
             match target {
                 LValue::Index { recv, index } => {
-                    taint_eval(recv, fact, shadow, summaries, on_sink);
-                    taint_eval(index, fact, shadow, summaries, on_sink);
+                    taint_eval(recv, fact, shadow, cx, on_sink);
+                    taint_eval(index, fact, shadow, cx, on_sink);
                 }
                 LValue::Attr { recv, .. } => {
-                    taint_eval(recv, fact, shadow, summaries, on_sink);
+                    taint_eval(recv, fact, shadow, cx, on_sink);
                 }
                 _ => {}
             }
-            let t = taint_eval(value, fact, shadow, summaries, on_sink);
+            let t = taint_eval(value, fact, shadow, cx, on_sink);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
                     if t {
-                        fact.insert(n.clone());
+                        fact.insert(cx.locals.slot(n));
                     } else {
-                        fact.remove(n);
+                        fact.remove(cx.locals.slot(n));
                     }
                 }
             }
             t
         }
         ExprKind::OpAssign { target, value, .. } => {
-            let mut t = taint_eval(value, fact, shadow, summaries, on_sink);
+            let mut t = taint_eval(value, fact, shadow, cx, on_sink);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
-                    t |= fact.contains(n);
+                    let slot = cx.locals.slot(n);
+                    t |= fact.contains(slot);
                     if t {
-                        fact.insert(n.clone());
+                        fact.insert(slot);
                     }
                 }
             }
             t
         }
         ExprKind::Call { recv, name, args, block } => {
-            let recv_t =
-                recv.as_ref().is_some_and(|r| taint_eval(r, fact, shadow, summaries, on_sink));
+            let recv_t = recv.as_ref().is_some_and(|r| taint_eval(r, fact, shadow, cx, on_sink));
             let arg_t: Vec<bool> =
-                args.iter().map(|a| taint_eval(a, fact, shadow, summaries, on_sink)).collect();
+                args.iter().map(|a| taint_eval(a, fact, shadow, cx, on_sink)).collect();
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 for stmt in &b.body {
-                    taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    taint_eval(stmt, fact, shadow, cx, on_sink);
                 }
                 shadow.pop();
             }
@@ -453,7 +600,7 @@ fn taint_eval(
             if SQL_SINKS.contains(&name.as_str()) && !args.is_empty() {
                 sink_args.insert(0usize);
             }
-            let summary = summaries.and_then(|s| s.taint_for_name(name));
+            let summary = cx.summaries.and_then(|s| s.taint_for_name(name));
             if let Some(ts) = &summary {
                 for &i in &ts.params_to_sink {
                     if i < args.len() {
@@ -476,61 +623,61 @@ fn taint_eval(
             }
         }
         ExprKind::BoolOp { lhs, rhs, .. } => {
-            let l = taint_eval(lhs, fact, shadow, summaries, on_sink);
-            let r = taint_eval(rhs, fact, shadow, summaries, on_sink);
+            let l = taint_eval(lhs, fact, shadow, cx, on_sink);
+            let r = taint_eval(rhs, fact, shadow, cx, on_sink);
             l || r
         }
         ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
-            taint_eval(inner, fact, shadow, summaries, on_sink)
+            taint_eval(inner, fact, shadow, cx, on_sink)
         }
         ExprKind::If { arms, else_body } => {
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, shadow, summaries, on_sink);
+                taint_eval(&arm.cond, fact, shadow, cx, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    t |= taint_eval(stmt, fact, shadow, cx, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                t |= taint_eval(stmt, fact, shadow, cx, on_sink);
             }
             t
         }
         ExprKind::Case { subject, arms, else_body } => {
-            taint_eval(subject, fact, shadow, summaries, on_sink);
+            taint_eval(subject, fact, shadow, cx, on_sink);
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, shadow, summaries, on_sink);
+                taint_eval(&arm.cond, fact, shadow, cx, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    t |= taint_eval(stmt, fact, shadow, cx, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                t |= taint_eval(stmt, fact, shadow, cx, on_sink);
             }
             t
         }
         ExprKind::While { cond, body } => {
-            taint_eval(cond, fact, shadow, summaries, on_sink);
+            taint_eval(cond, fact, shadow, cx, on_sink);
             for stmt in body {
-                taint_eval(stmt, fact, shadow, summaries, on_sink);
+                taint_eval(stmt, fact, shadow, cx, on_sink);
             }
             false
         }
         ExprKind::Return(Some(v)) => {
-            taint_eval(v, fact, shadow, summaries, on_sink);
+            taint_eval(v, fact, shadow, cx, on_sink);
             false
         }
         ExprKind::Yield(args) => {
             for arg in args {
-                taint_eval(arg, fact, shadow, summaries, on_sink);
+                taint_eval(arg, fact, shadow, cx, on_sink);
             }
             false
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             for stmt in &b.body {
-                taint_eval(stmt, fact, shadow, summaries, on_sink);
+                taint_eval(stmt, fact, shadow, cx, on_sink);
             }
             shadow.pop();
             false
@@ -554,19 +701,19 @@ fn concat_parts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// Whether `e`'s value derives from a tainted name — evaluated with the
 /// same summary-aware rules as the taint facts themselves, against a
 /// scratch copy of `fact` so sink callbacks and assignments don't reenter.
-fn reads_tainted(e: &Expr, fact: &Names, summaries: Option<&ProgramSummaries>) -> bool {
+fn reads_tainted<'a>(e: &'a Expr, fact: &Slots, cx: TaintCtx<'_, 'a>) -> bool {
     let mut scratch = fact.clone();
-    taint_eval(e, &mut scratch, &mut Vec::new(), summaries, &mut |_, _, _| {})
+    taint_eval(e, &mut scratch, &mut Vec::new(), cx, &mut |_, _, _| {})
 }
 
 /// Inspects one sink argument and pushes a `LINT0105` finding if a tainted
 /// non-literal part is concatenated with SQL text that `sql_tc` can parse
 /// as a condition.
-fn check_sql_sink(
-    call: &Expr,
+fn check_sql_sink<'a>(
+    call: &'a Expr,
     arg: usize,
-    fact: &Names,
-    summaries: Option<&ProgramSummaries>,
+    fact: &Slots,
+    cx: TaintCtx<'_, 'a>,
     findings: &mut Vec<LintFinding>,
 ) {
     let ExprKind::Call { args, .. } = &call.kind else { return };
@@ -586,7 +733,7 @@ fn check_sql_sink(
                 fragment.push_str(s);
             }
             _ => {
-                has_tainted |= reads_tainted(part, fact, summaries);
+                has_tainted |= reads_tainted(part, fact, cx);
                 fragment.push('?');
             }
         }
@@ -652,19 +799,19 @@ pub fn lint_method_with_summaries(
     let reachable = cfg.reachable();
     let mut findings = Vec::new();
 
-    let params: Names = def.params.iter().map(|p| p.name.clone()).collect();
-    let assigned = assigned_locals(&def.body);
-    let used = used_locals(&def.body);
+    let locals = Locals::collect(def);
+    let params = locals.set_of(def.params.iter().map(|p| p.name.as_str()));
 
     // LINT0102: assigned but never read.  A leading underscore is the
     // conventional "intentionally unused" spelling and stays quiet.
-    for (name, span) in &assigned {
-        if !used.contains(name) && !params.contains(name) && !name.starts_with('_') {
+    for (s, name) in locals.names.iter().enumerate() {
+        let Some(span) = locals.first_def[s] else { continue };
+        if !locals.read[s] && !params.contains(Some(s)) && !name.starts_with('_') {
             findings.push(LintFinding {
                 code: UNUSED_VARIABLE.to_string(),
                 message: format!("local variable `{name}` is never used"),
                 label: "assigned here but never read".to_string(),
-                span: *span,
+                span,
             });
         }
     }
@@ -674,22 +821,28 @@ pub fn lint_method_with_summaries(
     // identifier that is never assigned is a method call on `self` in this
     // subset, not a variable.
     {
-        let mut universe: Names = assigned.keys().cloned().collect();
-        universe.extend(params.iter().cloned());
-        let sol = solve(&cfg, &DefiniteAssign { universe, params: params.clone() });
-        struct Report<'x> {
-            fact: Names,
-            assigned: &'x BTreeMap<String, Span>,
-            params: &'x Names,
-            reported: BTreeSet<String>,
+        let mut universe = params.clone();
+        for (s, first_def) in locals.first_def.iter().enumerate() {
+            if first_def.is_some() {
+                universe.insert(Some(s));
+            }
+        }
+        let sol =
+            solve(&cfg, &DefiniteAssign { locals: &locals, universe, params: params.clone() });
+        struct Report<'l, 'a> {
+            locals: &'l Locals<'a>,
+            params: &'l Slots,
+            fact: Slots,
+            reported: Slots,
             findings: Vec<LintFinding>,
         }
-        impl NameSink for Report<'_> {
-            fn on_use(&mut self, e: &Expr, name: &str) {
-                if self.assigned.contains_key(name)
-                    && !self.params.contains(name)
-                    && !self.fact.contains(name)
-                    && self.reported.insert(name.to_string())
+        impl<'a> NameSink<'a> for Report<'_, 'a> {
+            fn on_use(&mut self, e: &'a Expr, name: &'a str) {
+                let slot = self.locals.slot(name);
+                if slot.is_some_and(|s| self.locals.first_def[s].is_some())
+                    && !self.params.contains(slot)
+                    && !self.fact.contains(slot)
+                    && self.reported.insert(slot)
                 {
                     self.findings.push(LintFinding {
                         code: USE_BEFORE_DEF.to_string(),
@@ -699,22 +852,22 @@ pub fn lint_method_with_summaries(
                     });
                 }
             }
-            fn on_def(&mut self, _e: &Expr, name: &str) {
-                self.fact.insert(name.to_string());
+            fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
+                self.fact.insert(self.locals.slot(name));
             }
         }
         let mut report = Report {
-            fact: Names::new(),
-            assigned: &assigned,
+            locals: &locals,
             params: &params,
-            reported: BTreeSet::new(),
+            fact: locals.empty(),
+            reported: locals.empty(),
             findings: Vec::new(),
         };
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
                 continue;
             }
-            report.fact = sol.block_in[b].clone();
+            report.fact.clone_from(&sol.block_in[b]);
             for stmt in &block.stmts {
                 walk_names(stmt, &mut Vec::new(), &mut report);
             }
@@ -726,17 +879,19 @@ pub fn lint_method_with_summaries(
     // can observe.  The method's tail statement is its implicit return
     // value, so it is exempt; names never read at all are LINT0102's job.
     {
-        let sol = solve(&cfg, &Liveness);
+        let sol = solve(&cfg, &Liveness { locals: &locals });
         let tail: Option<*const Expr> = def.body.last().map(|e| e as *const Expr);
+        let mut live = locals.empty();
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
                 continue;
             }
-            let mut live = sol.block_out[b].clone();
+            live.clone_from(&sol.block_out[b]);
             for stmt in block.stmts.iter().rev() {
                 if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-                    if used.contains(n)
-                        && !live.contains(n)
+                    let slot = locals.slot(n);
+                    if slot.is_some_and(|s| locals.read[s])
+                        && !live.contains(slot)
                         && !n.starts_with('_')
                         && Some(*stmt as *const Expr) != tail
                     {
@@ -748,10 +903,10 @@ pub fn lint_method_with_summaries(
                             span: stmt.span,
                         });
                     }
-                    live.remove(n);
-                    walk_names(value, &mut Vec::new(), &mut InsertUses(&mut live));
+                    live.remove(slot);
+                    mark_uses(&locals, value, &mut live);
                 } else {
-                    walk_names(stmt, &mut Vec::new(), &mut InsertUses(&mut live));
+                    mark_uses(&locals, stmt, &mut live);
                 }
             }
         }
@@ -775,19 +930,21 @@ pub fn lint_method_with_summaries(
     }
 
     // LINT0105: parameter-derived values concatenated into SQL fragments.
-    let taint_seed: Names =
-        def.params.iter().filter(|p| !p.block).map(|p| p.name.clone()).collect();
-    if !taint_seed.is_empty() {
-        let sol = solve(&cfg, &TaintWithParams { params: taint_seed, summaries });
+    if def.params.iter().any(|p| !p.block) {
+        let cx = TaintCtx { locals: &locals, summaries };
+        let taint_seed =
+            locals.set_of(def.params.iter().filter(|p| !p.block).map(|p| p.name.as_str()));
+        let sol = solve(&cfg, &TaintWithParams { cx, params: taint_seed });
         let mut sink_findings = Vec::new();
+        let mut fact = locals.empty();
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
                 continue;
             }
-            let mut fact = sol.block_in[b].clone();
+            fact.clone_from(&sol.block_in[b]);
             for stmt in &block.stmts {
-                taint_eval(stmt, &mut fact, &mut Vec::new(), summaries, &mut |call, arg, fact| {
-                    check_sql_sink(call, arg, fact, summaries, &mut sink_findings);
+                taint_eval(stmt, &mut fact, &mut Vec::new(), cx, &mut |call, arg, fact| {
+                    check_sql_sink(call, arg, fact, cx, &mut sink_findings);
                 });
             }
         }
@@ -1081,6 +1238,67 @@ mod tests {
             assert_eq!(seq, par, "threads={threads}");
         }
         assert!(seq.iter().any(|m| !m.findings.is_empty()));
+    }
+
+    /// The method shape the dense-schema benchmark generates: `k`
+    /// assignments, then an `||` chain over all of them (two CFG blocks per
+    /// `||`).  `params` are the method's parameters; every assignment reads
+    /// them, so the taint analysis runs too.
+    fn or_chain(k: usize, params: &[&str]) -> String {
+        let mut src = format!("def self.q({})\n", params.join(", "));
+        let value = if params.is_empty() { "1".to_string() } else { params.join(" + ") };
+        for s in 0..k {
+            src += &format!("  a{s} = {value}\n");
+        }
+        let tail: Vec<String> = (0..k).map(|s| format!("a{s}")).collect();
+        src + &format!("  {}\nend\n", tail.join(" || "))
+    }
+
+    /// Fact words copied while linting `src`'s first method.
+    fn words_copied(src: &str) -> usize {
+        let p = parse_program_strict(src).expect("parse");
+        let (owner, def) = &p.methods()[0];
+        WORDS_COPIED.with(|c| c.set(0));
+        lint_method(owner, def);
+        WORDS_COPIED.with(std::cell::Cell::get)
+    }
+
+    /// The bitsets have no width cap: a use-before-def of the 150th local
+    /// and a dead store of the 140th are found exactly as for the first.
+    #[test]
+    fn facts_hold_any_number_of_locals() {
+        let mut src = String::from("def m(c)\n");
+        for s in 0..149 {
+            src += &format!("  a{s} = {s}\n");
+        }
+        src += "  if c\n    a149 = 1\n  end\n  a139 = 2\n";
+        let tail: Vec<String> = (0..150).map(|s| format!("a{s}")).collect();
+        src += &format!("  {}\nend\n", tail.join(" + "));
+        let f = lint_src(&src);
+        assert_eq!(codes(&f), vec![DEAD_ASSIGNMENT, USE_BEFORE_DEF], "{f:?}");
+        assert!(f[0].message.contains("`a139`"), "{}", f[0].message);
+        assert!(f[1].message.contains("`a149`"), "{}", f[1].message);
+    }
+
+    /// The facts are slot bitsets, so linting copies a fixed number of
+    /// fact words per CFG block: the work grows linearly with the number of
+    /// locals `k` while the facts fit one word.
+    #[test]
+    fn fact_copies_grow_linearly_in_the_number_of_locals() {
+        let counts: Vec<usize> = (2..=64).map(|k| words_copied(&or_chain(k, &[]))).collect();
+        for (k, &count) in (2..=64).zip(&counts) {
+            assert!(count <= 15 * k, "k={k}: {count} words copied");
+        }
+        let at = |k: usize| counts[k - 2];
+        assert!(at(64) <= 9 * at(8), "k=64: {}, k=8: {}", at(64), at(8));
+
+        // With the benchmark's two parameters the facts need a second word
+        // from 63 locals on; the copies per word stay linear.
+        for k in [2, 8, 16, 32, 62, 63, 64] {
+            let count = words_copied(&or_chain(k, &["name", "n"]));
+            let words = (k + 2).div_ceil(64);
+            assert!(count <= 20 * k * words, "k={k}: {count} words copied over {words}-word facts");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, Span};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// What kind of type error was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +256,19 @@ pub struct TypeChecker<'a> {
     /// The expression and helper registry are immutable for the lifetime of
     /// a run, so the hash is computed once per slot, not once per call site.
     slot_semantics: HashMap<(String, String, CompPosition), u64>,
+    /// Every signature lookup made so far, misses included: receiver
+    /// class, then instance (`[0]`) or singleton (`[1]`), then method name.
+    /// The env is immutable for the checker's lifetime, so each
+    /// `(class, kind, name)` walks the ancestor chain once.
+    signatures: HashMap<String, [HashMap<String, Option<SigTarget>>; 2]>,
+    /// Ancestor walks made by `lookup_signature`.
+    #[cfg(test)]
+    signature_walks: usize,
 }
+
+/// A call's resolved signature: the class that declares it, the kind it
+/// was found under, and the shared signature.
+type SigTarget = (Arc<str>, MethodKind, Arc<MethodSig>);
 
 struct MethodCtx {
     class: String,
@@ -282,6 +295,9 @@ impl<'a> TypeChecker<'a> {
             termination: TerminationChecker::new(EffectEnv::explicit_for(env)),
             cache: CompTypeCache::new(),
             slot_semantics: HashMap::new(),
+            signatures: HashMap::new(),
+            #[cfg(test)]
+            signature_walks: 0,
         }
     }
 
@@ -511,11 +527,8 @@ impl<'a> TypeChecker<'a> {
 
     fn check_method_def(&mut self, owner: &str, def: &MethodDef) -> MethodCheckResult {
         let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
-        let sig = self
-            .env
-            .annotations
-            .lookup(&self.env.classes, owner, kind, &def.name)
-            .map(|(_, sig)| sig.clone());
+        let env = self.env;
+        let sig = env.annotations.lookup(&env.classes, owner, kind, &def.name).map(|(_, sig)| sig);
 
         let mut ctx = MethodCtx {
             class: owner.to_string(),
@@ -1028,29 +1041,41 @@ impl<'a> TypeChecker<'a> {
         }
     }
 
-    fn lookup_signature(
-        &mut self,
-        recv_ty: &Type,
-        name: &str,
-    ) -> Option<(String, MethodKind, MethodSig)> {
+    /// The signature a call of `name` on `recv_ty` resolves to, answered
+    /// from this checker's memo after the first lookup.
+    fn lookup_signature(&mut self, recv_ty: &Type, name: &str) -> Option<SigTarget> {
         let (class, kind) = self.receiver_class(recv_ty)?;
-        if let Some((owner, sig)) =
-            self.env.annotations.lookup(&self.env.classes, &class, kind, name)
+        let side = usize::from(kind == MethodKind::Singleton);
+        if let Some(hit) = self.signatures.get(&class).and_then(|sides| sides[side].get(name)) {
+            return hit.clone();
+        }
+        #[cfg(test)]
         {
-            return Some((owner, kind, sig.clone()));
+            self.signature_walks += 1;
+        }
+        let found = self.resolve_signature(&class, kind, name);
+        self.signatures.entry(class).or_default()[side].insert(name.to_string(), found.clone());
+        found
+    }
+
+    fn resolve_signature(&self, class: &str, kind: MethodKind, name: &str) -> Option<SigTarget> {
+        if let Some((owner, sig)) =
+            self.env.annotations.lookup(&self.env.classes, class, kind, name)
+        {
+            return Some((owner.into(), kind, sig.clone()));
         }
         // DB query methods: a model class's singleton methods and a
         // `Table<T>` relation's instance methods are both typed via the
         // `Table` annotations (paper §2.1: `tself` may be a class singleton
         // or a Table type).
-        let is_model_class = kind == MethodKind::Singleton && self.env.classes.is_model(&class);
+        let is_model_class = kind == MethodKind::Singleton && self.env.classes.is_model(class);
         let is_table = class == "Table" || class == "Sequel::Dataset";
         if is_model_class || is_table {
             for dsl in ["Table", "Sequel::Dataset"] {
                 if let Some((owner, sig)) =
                     self.env.annotations.lookup(&self.env.classes, dsl, MethodKind::Instance, name)
                 {
-                    return Some((owner, MethodKind::Instance, sig.clone()));
+                    return Some((owner.into(), MethodKind::Instance, sig.clone()));
                 }
             }
         }
@@ -1822,6 +1847,82 @@ mod tests {
             .map(|c| format!("{} -> {}", c.description, parallel.store.render(&c.expected_return)))
             .collect();
         assert_eq!(seq_checks, par_checks);
+    }
+
+    /// Signature lookups are memoised per checker, misses included: over a
+    /// Wikipedia-client-shaped app (finite-hash `page()` accessors) plus a
+    /// model class whose queries fall back to the `Table` annotations, each
+    /// distinct `(class, kind, name)` walks the ancestor chain at most once,
+    /// and re-checking the same methods walks nothing.
+    #[test]
+    fn each_signature_is_resolved_once_per_checker() {
+        let mut env = env_with_stdlib();
+        env.add_class("WikiPage", "Object");
+        env.add_model_class("User", "ActiveRecord::Base");
+        env.type_sig("WikiPage", "page", "() -> { info: Array<String>, title: String }", None);
+        env.type_sig("Table", "where", "(Object) -> Object", None);
+        for m in ["image_url", "title_text", "summary", "active"] {
+            env.type_sig("WikiPage", m, "() -> Object", Some("app"));
+        }
+        let src = "class WikiPage\n\
+                   def image_url()\n  page()[:info].first\nend\n\
+                   def title_text()\n  page()[:title]\nend\n\
+                   def summary()\n  page()[:title] + page()[:info].first + page()[:info].last\nend\n\
+                   def active()\n  User.where(1)\n  User.where(2)\n  untyped(1)\n  untyped(2)\nend\n\
+                   end\n";
+        let program = ruby_syntax::parse_program_strict(src).expect("parse");
+        let methods = program.methods();
+        let mut checker = TypeChecker::new(&env, &program, CheckOptions::default());
+        let first: Vec<_> =
+            methods.iter().map(|(owner, def)| checker.check_method_def(owner, def)).collect();
+        assert!(first.iter().all(|m| m.errors.is_empty()), "{first:?}");
+
+        let entries: Vec<(&String, usize, &String, &Option<SigTarget>)> = checker
+            .signatures
+            .iter()
+            .flat_map(|(class, sides)| {
+                sides.iter().enumerate().flat_map(move |(side, by_name)| {
+                    by_name.iter().map(move |(name, hit)| (class, side, name, hit))
+                })
+            })
+            .collect();
+        assert_eq!(checker.signature_walks, entries.len(), "one walk per distinct lookup");
+        let resolved = |class: &str, side: usize, name: &str| {
+            entries.iter().find(|e| e.0 == class && e.1 == side && e.2 == name).map(|e| e.3)
+        };
+        // Repeated call sites, a miss, and the model-class fallback are all
+        // in the memo, each matching a fresh resolution.
+        let (owner, kind, _) = resolved("Hash", 0, "[]").and_then(Option::as_ref).expect("Hash#[]");
+        assert_eq!((&**owner, *kind), ("Hash", MethodKind::Instance));
+        let (owner, kind, _) =
+            resolved("User", 1, "where").and_then(Option::as_ref).expect("where");
+        assert_eq!((&**owner, *kind), ("Table", MethodKind::Instance));
+        assert_eq!(resolved("WikiPage", 0, "untyped"), Some(&None), "misses are memoised");
+        for &(class, side, name, hit) in &entries {
+            let kind = if side == 1 { MethodKind::Singleton } else { MethodKind::Instance };
+            let fresh = checker.resolve_signature(class, kind, name);
+            assert_eq!(
+                fresh.as_ref().map(|(o, k, s)| (o.clone(), *k, Arc::as_ptr(s))),
+                hit.as_ref().map(|(o, k, s)| (o.clone(), *k, Arc::as_ptr(s))),
+                "{class}/{side}/{name}"
+            );
+        }
+
+        let walks = checker.signature_walks;
+        let again: Vec<_> =
+            methods.iter().map(|(owner, def)| checker.check_method_def(owner, def)).collect();
+        assert_eq!(checker.signature_walks, walks, "a warm checker resolves nothing again");
+        // Same verdicts and check sites (store ids differ between passes).
+        let verdicts = |r: &[MethodCheckResult]| -> Vec<String> {
+            r.iter()
+                .flat_map(|m| {
+                    m.errors.iter().map(|e| e.to_string()).chain(m.checks.iter().map(|c| {
+                        format!("{}#{} {:?} {}", m.class, m.method, c.site, c.description)
+                    }))
+                })
+                .collect()
+        };
+        assert_eq!(verdicts(&first), verdicts(&again));
     }
 
     #[test]

@@ -49,6 +49,7 @@ use rdl_types::{HashKey, MethodKind, SingVal, Type, TypeExpr, TypeStore};
 use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Bump on any change to the binary layout, or to what a stored record
 /// means for an unchanged key; older files load as empty.
@@ -1010,15 +1011,15 @@ fn thaw(tree: &TypeTree, store: &mut TypeStore) -> Type {
 
 /// Rebuilds a consistency check's `ret_expr` and `binders` from the current
 /// environment: the persisted `description` is `"Owner#method"`, whose
-/// annotation's comp return expression is exactly what the checker cloned
-/// when it built the original check.  `None` when the annotation is gone,
+/// annotation's comp return expression is exactly what the checker shared
+/// with the original check, and the rebuilt check shares it too.  `None` when the annotation is gone,
 /// no longer a direct comp return, or ambiguous between method kinds.
 fn rebuild_consistency_shape(
     env: &CompRdl,
     description: &str,
-) -> Option<(Expr, Vec<Option<String>>)> {
+) -> Option<(Arc<Expr>, Vec<Option<String>>)> {
     let (owner, method) = description.split_once('#')?;
-    let mut found: Option<(Expr, Vec<Option<String>>)> = None;
+    let mut found: Option<(Arc<Expr>, Vec<Option<String>>)> = None;
     for kind in [MethodKind::Instance, MethodKind::Singleton] {
         let Some(sig) = env.annotations.get_exact(owner, kind, method) else { continue };
         let TypeExpr::Comp(spec) = &sig.ret else { continue };

@@ -314,8 +314,9 @@ pub struct InsertedCheck {
 /// Re-evaluation data for the comp-type consistency check.
 #[derive(Debug, Clone)]
 pub struct ConsistencyCheck {
-    /// The comp-type expression for the return position.
-    pub ret_expr: ruby_syntax::Expr,
+    /// The comp-type expression for the return position, shared with the
+    /// annotation it came from.
+    pub ret_expr: Arc<ruby_syntax::Expr>,
     /// Binder names of the parameters, in positional order (bound to the
     /// run-time types of the arguments when re-evaluating).
     pub binders: Vec<Option<String>>,
@@ -950,7 +951,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: expr,
+                ret_expr: expr.into(),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),
@@ -1170,7 +1171,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("schema_marker()").unwrap(),
+                ret_expr: ruby_syntax::parse_expr("schema_marker()").unwrap().into(),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),
@@ -1412,7 +1413,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("bump_once()").unwrap(),
+                ret_expr: ruby_syntax::parse_expr("bump_once()").unwrap().into(),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),

@@ -388,12 +388,13 @@ fn overhead_app(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRow, Harnes
 
     let (env, program, _parse_diags) = crate::pipeline::env_and_parse(app, app.source);
     let comp = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-    let no_hook = crate::pipeline::run_plain_suite(app, &program)?;
+    // Each suite run consumes a program: copies for all but the last.
+    let no_hook = crate::pipeline::run_plain_suite(app, program.clone())?;
 
     // One checked run; returns (time, checks, blames, stats, store size).
-    let checked_run = |memoize: bool| {
+    let checked_run = |program, memoize: bool| {
         let (elapsed, checks, hook) =
-            crate::pipeline::run_checked_suite(app, &env, &program, &comp, memo, memoize)?;
+            crate::pipeline::run_checked_suite(app, &env, program, &comp, memo, memoize)?;
         Ok::<_, HarnessError>((
             elapsed,
             checks,
@@ -402,8 +403,10 @@ fn overhead_app(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRow, Harnes
             hook.store_size(),
         ))
     };
-    let (unmemoized, checks_unmemo, blames_unmemo, _, store_unmemoized) = checked_run(false)?;
-    let (memoized, checks_memo, blames_memo, memo_stats, store_memoized) = checked_run(true)?;
+    let (unmemoized, checks_unmemo, blames_unmemo, _, store_unmemoized) =
+        checked_run(program.clone(), false)?;
+    let (memoized, checks_memo, blames_memo, memo_stats, store_memoized) =
+        checked_run(program.clone(), true)?;
 
     // The correctness gate: memoization must not change observable
     // behaviour.
@@ -420,7 +423,7 @@ fn overhead_app(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRow, Harnes
     // shared memo must reproduce the cold run exactly.  A divergence here
     // means a verdict leaked across runs or namespaces (shared-memo
     // cross-talk) and fails loudly.
-    let (memoized_warm, checks_warm, blames_warm, warm_memo_stats, _) = checked_run(true)?;
+    let (memoized_warm, checks_warm, blames_warm, warm_memo_stats, _) = checked_run(program, true)?;
     if checks_warm != checks_memo {
         return Err(err(format!(
             "shared-memo cross-talk: warm run executed {checks_warm} dynamic checks, cold \

@@ -144,11 +144,14 @@ pub(crate) fn run_app(
             .record_effects(app.name, crate::effects::summaries_to_records(&summaries, &c.graph));
     }
 
-    let test_time_no_chk = run_plain_suite(app, &program)?;
+    // The last reader of the program before the suites, which consume it.
+    let conflicts = TypeChecker::effect_conflicts(&env, &program, &inferred);
+
+    let test_time_no_chk = run_plain_suite(app, program.clone())?;
     // Blame is collected, not raised, so a migrating suite like
     // `apps::sequel` completes and reports every blame.
     let (test_time_with_chk, dynamic_checks_run, hook) =
-        run_checked_suite(app, &env, &program, &comp_result, memo, true)?;
+        run_checked_suite(app, &env, program, &comp_result, memo, true)?;
     let runtime_blames: DiagnosticBag =
         hook.take_blames().into_iter().map(Diagnostic::from).collect();
 
@@ -157,9 +160,7 @@ pub(crate) fn run_app(
     // warnings, so `Table2Row::errors` is unaffected by them.
     let mut diagnostics: DiagnosticBag =
         comp_result.errors().into_iter().cloned().map(Diagnostic::from).collect();
-    diagnostics.extend(
-        TypeChecker::effect_conflicts(&env, &program, &inferred).into_iter().map(Diagnostic::from),
-    );
+    diagnostics.extend(conflicts.into_iter().map(Diagnostic::from));
     diagnostics.extend(parse_diags);
     diagnostics.sort_by_span_then_code();
 
@@ -369,9 +370,9 @@ fn suite_error(app: &App, mode: &str, e: RubyError) -> HarnessError {
 }
 
 /// Runs the app's test suite with no hook installed and returns its
-/// wall-clock time.
-pub(crate) fn run_plain_suite(app: &App, program: &Program) -> Result<Duration, HarnessError> {
-    let plain = Interpreter::new(program.clone());
+/// wall-clock time.  The interpreter consumes `program`.
+pub(crate) fn run_plain_suite(app: &App, program: Program) -> Result<Duration, HarnessError> {
+    let plain = Interpreter::new(program);
     let started = Instant::now();
     plain.eval_program().map_err(|e| suite_error(app, "without checks", e))?;
     Ok(started.elapsed())
@@ -382,11 +383,11 @@ pub(crate) fn run_plain_suite(app: &App, program: &Program) -> Result<Duration, 
 /// registered namespace (registering labels the app's row in
 /// [`crate::format_memo_stats`]).  Returns the suite's wall-clock time, the
 /// number of checks executed, and the hook, which holds the blames and the
-/// memo counters.
+/// memo counters.  The interpreter consumes `program`.
 pub(crate) fn run_checked_suite(
     app: &App,
     env: &CompRdl,
-    program: &Program,
+    program: Program,
     comp: &ProgramCheckResult,
     memo: &Arc<SharedMemo>,
     memoize: bool,
@@ -400,7 +401,7 @@ pub(crate) fn run_checked_suite(
         memo.clone(),
         memo.register_namespace(app.name),
     );
-    let mut checked = Interpreter::new(program.clone());
+    let mut checked = Interpreter::new(program);
     checked.set_hook(hook.clone());
     let started = Instant::now();
     checked.eval_program().map_err(|e| suite_error(app, "with dynamic checks", e))?;

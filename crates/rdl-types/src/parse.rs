@@ -21,6 +21,7 @@
 use crate::sig::{CompSpec, MethodSig, ParamSig, TypeExpr};
 use crate::ty::{HashKey, SingVal, Type};
 use std::fmt;
+use std::sync::Arc;
 
 /// An error produced while parsing an annotation string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -556,7 +557,7 @@ impl SigParser {
                 Box::new(TypeExpr::Simple(Type::Top))
             }
         };
-        Ok(TypeExpr::Comp(CompSpec { expr, source, bound }))
+        Ok(TypeExpr::Comp(CompSpec { expr: Arc::new(expr), source, bound }))
     }
 }
 

@@ -51,8 +51,9 @@ pub enum PurityEffect {
 /// checking to produce a type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompSpec {
-    /// The parsed type-level expression.
-    pub expr: Expr,
+    /// The parsed type-level expression, shared with every consistency
+    /// check the checker inserts for it.
+    pub expr: Arc<Expr>,
     /// The original source text between `«` and `»`.
     pub source: String,
     /// A static fallback bound used when comp-type evaluation is disabled
@@ -339,16 +340,17 @@ impl AnnotationTable {
         self.methods.get(&(class.to_string(), kind, method.to_string())).map(|sig| &**sig)
     }
 
-    /// Looks up a method signature on `class` or any of its ancestors.
+    /// Looks up a method signature on `class` or any of its ancestors,
+    /// returning the declaring class and the shared signature.
     pub fn lookup(
         &self,
         classes: &ClassTable,
         class: &str,
         kind: MethodKind,
         method: &str,
-    ) -> Option<(String, &MethodSig)> {
+    ) -> Option<(String, &Arc<MethodSig>)> {
         for anc in classes.ancestors(class) {
-            if let Some(sig) = self.get_exact(&anc, kind, method) {
+            if let Some(sig) = self.methods.get(&(anc.clone(), kind, method.to_string())) {
                 return Some((anc, sig));
             }
         }
@@ -446,7 +448,7 @@ mod tests {
     #[test]
     fn comp_detection() {
         let comp = TypeExpr::Comp(CompSpec {
-            expr: ruby_syntax::parse_expr("schema_type(tself)").unwrap(),
+            expr: ruby_syntax::parse_expr("schema_type(tself)").unwrap().into(),
             source: "schema_type(tself)".into(),
             bound: Box::new(TypeExpr::nominal("Object")),
         });

@@ -1256,9 +1256,22 @@ c = C.new()
         assert_eq!(run_ok(src).inspect(), "[1, 2]");
     }
 
+    /// `s << t` and `xs << 1` reach `corelib`'s `String#<<`/`Array#<<`
+    /// from source, chaining left to right on the mutated receiver.
+    #[test]
+    fn shift_operator_runs_from_source() {
+        assert_eq!(run_ok("s = 'ab'\ns << 'c'\ns"), Value::str("abc"));
+        assert_eq!(run_ok("s = 'a'\ns << 'b' << 'c'"), Value::str("abc"));
+        assert_eq!(run_ok("s = 'ab'\ns << s\ns"), Value::str("abab"));
+        assert_eq!(run_ok("xs = [1]\nxs << 1\nxs"), run_ok("[1, 1]"));
+        assert_eq!(run_ok("xs = []\nxs << 1 + 1 << 3\nxs.length()"), Value::Int(2));
+        assert_eq!(run_ok("xs = [1]\n(xs << 2).length() > 1"), Value::Bool(true));
+    }
+
     #[test]
     fn receivers_passed_as_their_own_argument() {
-        // The parser has no `<<` operator; call the method directly.
+        // `<<` called on a receiver value directly (see also the source-level
+        // test above).
         let interp = Interpreter::new(Program::empty());
         let s = Value::str("ab");
         let out = interp.invoke_method(Span::dummy(), &s, "<<", vec![s.clone()], None);

@@ -55,9 +55,22 @@ impl Program {
         out
     }
 
-    /// Finds a method definition by owner class and name.
+    /// Finds a method definition by owner class and name: the first match
+    /// in [`Program::methods`] order, found without building that list.
     pub fn find_method(&self, owner: &str, name: &str) -> Option<&MethodDef> {
-        self.methods().into_iter().find(|(o, m)| o == owner && m.name == name).map(|(_, m)| m)
+        fn find<'a>(
+            cur: &str,
+            items: &'a [Item],
+            owner: &str,
+            name: &str,
+        ) -> Option<&'a MethodDef> {
+            items.iter().find_map(|item| match item {
+                Item::Method(m) if cur == owner && m.name == name => Some(m),
+                Item::Class(c) => find(&c.name, &c.body, owner, name),
+                _ => None,
+            })
+        }
+        find("Object", &self.items, owner, name)
     }
 
     /// Appends `other`'s items after this program's, producing the combined
@@ -450,6 +463,37 @@ mod tests {
         assert_eq!(methods[0].0, "User");
         assert!(p.find_method("User", "available?").is_some());
         assert!(p.find_method("User", "missing").is_none());
+    }
+
+    /// `find_method` returns the first match in `methods()` order: a
+    /// reopened class's first definition, a nested class's methods under
+    /// its own name, and top-level methods under `Object`.
+    #[test]
+    fn find_method_keeps_first_match_order() {
+        let p = crate::parse_program_strict(
+            "def m()\n  0\nend\n\
+             class A\n  def m()\n    1\n  end\n  class B\n    def m()\n      2\n    end\n  end\n  def self.m()\n    3\n  end\nend\n\
+             class A\n  def m()\n    4\n  end\n  def n()\n    5\n  end\nend\n\
+             class B\n  def m()\n    6\n  end\nend\n",
+        )
+        .expect("parse");
+        let body = |owner: &str, name: &str| {
+            let m = p.find_method(owner, name)?;
+            match &m.body[0].kind {
+                ExprKind::Int(i) => Some(*i),
+                other => panic!("unexpected body {other:?}"),
+            }
+        };
+        assert_eq!(body("Object", "m"), Some(0));
+        assert_eq!(body("A", "m"), Some(1), "the first of A#m and A.m, then the reopened A");
+        assert_eq!(body("B", "m"), Some(2), "the nested B comes first in program order");
+        assert_eq!(body("A", "n"), Some(5));
+        assert_eq!(body("A", "missing"), None);
+        assert_eq!(body("C", "m"), None);
+        for (owner, def) in p.methods() {
+            let first = p.methods().into_iter().find(|(o, m)| *o == owner && m.name == def.name);
+            assert!(std::ptr::eq(p.find_method(&owner, &def.name).unwrap(), first.unwrap().1));
+        }
     }
 
     #[test]

@@ -167,6 +167,7 @@ impl<'src> Lexer<'src> {
                     | TokenKind::EqEq
                     | TokenKind::NotEq
                     | TokenKind::Lt
+                    | TokenKind::Shl
                     | TokenKind::Gt
                     | TokenKind::Le
                     | TokenKind::Ge
@@ -411,7 +412,7 @@ impl<'src> Lexer<'src> {
             Some(b'+') | Some(b'-') | Some(b'*') | Some(b'/') | Some(b'%') | Some(b'<')
             | Some(b'>') | Some(b'=') => {
                 let rest = &self.src[self.pos + 1..];
-                let op = ["<=>", "**", "<=", ">=", "==", "+", "-", "*", "/", "%", "<", ">"]
+                let op = ["<=>", "**", "<=", ">=", "==", "<<", "+", "-", "*", "/", "%", "<", ">"]
                     .iter()
                     .find(|op| rest.starts_with(**op))
                     .copied();
@@ -484,6 +485,7 @@ impl<'src> Lexer<'src> {
             (b'!', Some(b'='), _) => (TokenKind::NotEq, 2),
             (b'<', Some(b'='), Some(b'>')) => (TokenKind::Spaceship, 3),
             (b'<', Some(b'='), _) => (TokenKind::Le, 2),
+            (b'<', Some(b'<'), _) => (TokenKind::Shl, 2),
             (b'>', Some(b'='), _) => (TokenKind::Ge, 2),
             (b'&', Some(b'&'), _) => (TokenKind::AndAnd, 2),
             (b'|', Some(b'|'), Some(b'=')) => (TokenKind::OrOrAssign, 3),

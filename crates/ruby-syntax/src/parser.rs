@@ -545,6 +545,7 @@ impl Parser {
             TokenKind::Percent => return Ok("%".to_string()),
             TokenKind::Pow => return Ok("**".to_string()),
             TokenKind::Lt => return Ok("<".to_string()),
+            TokenKind::Shl => return Ok("<<".to_string()),
             TokenKind::Gt => return Ok(">".to_string()),
             TokenKind::Le => return Ok("<=".to_string()),
             TokenKind::Ge => return Ok(">=".to_string()),
@@ -778,7 +779,7 @@ impl Parser {
     }
 
     fn parse_comparison(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_additive()?;
+        let mut lhs = self.parse_shift()?;
         loop {
             let name = match self.peek() {
                 TokenKind::Lt => "<",
@@ -790,10 +791,30 @@ impl Parser {
             }
             .to_string();
             self.advance();
-            let rhs = self.parse_additive()?;
+            let rhs = self.parse_shift()?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(
                 ExprKind::Call { recv: Some(Box::new(lhs)), name, args: vec![rhs], block: None },
+                span,
+            );
+        }
+        Ok(lhs)
+    }
+
+    /// `a << b`: a left-associative call to `<<`, binding tighter than the
+    /// comparisons and looser than `+`/`-`.
+    fn parse_shift(&mut self) -> PResult<Expr> {
+        let mut lhs = self.parse_additive()?;
+        while self.eat(&TokenKind::Shl) {
+            let rhs = self.parse_additive()?;
+            let span = lhs.span.to(rhs.span);
+            lhs = Expr::new(
+                ExprKind::Call {
+                    recv: Some(Box::new(lhs)),
+                    name: "<<".to_string(),
+                    args: vec![rhs],
+                    block: None,
+                },
                 span,
             );
         }

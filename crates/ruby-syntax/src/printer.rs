@@ -197,7 +197,7 @@ fn expr(e: &Expr, out: &mut String) {
         }
         ExprKind::Call { recv, name, args, block } => {
             const INFIX: &[&str] =
-                &["+", "-", "*", "/", "%", "**", "==", "<", ">", "<=", ">=", "<=>"];
+                &["+", "-", "*", "/", "%", "**", "==", "<", ">", "<=", ">=", "<=>", "<<"];
             if recv.is_some()
                 && args.len() == 1
                 && block.is_none()
@@ -387,6 +387,32 @@ mod tests {
             });
             assert_eq!(print_expr(&e2), printed, "printing not stable for {src}");
         }
+    }
+
+    /// `<<` is a left-associative call, binding tighter than comparison
+    /// and looser than `+`; it prints infix and reparses to the same tree.
+    #[test]
+    fn shift_operator_parses_prints_and_reparses() {
+        let e = parse_expr("a << b << c").unwrap();
+        assert_eq!(print_expr(&e), "((a << b) << c)");
+        let crate::ExprKind::Call { recv: Some(inner), name, .. } = &e.kind else {
+            panic!("{e:?}")
+        };
+        assert_eq!(name, "<<");
+        assert!(matches!(&inner.kind, crate::ExprKind::Call { name, .. } if name == "<<"));
+        let reparsed = parse_expr(&print_expr(&e)).unwrap();
+        assert_eq!(crate::expr_hash(&reparsed), crate::expr_hash(&e));
+        assert_eq!(print_expr(&parse_expr("a << b + 1").unwrap()), "(a << (b + 1))");
+        assert_eq!(print_expr(&parse_expr("a << b < c").unwrap()), "((a << b) < c)");
+        assert_eq!(print_expr(&parse_expr("x = :<<").unwrap()), "x = :<<");
+
+        let prog =
+            parse_program_strict("class Log\n  def <<(line)\n    line\n  end\nend\n").unwrap();
+        let printed = print_program(&prog);
+        assert!(printed.contains("def <<(line)"), "{printed}");
+        let reparsed = parse_program_strict(&printed).unwrap();
+        assert_eq!(print_program(&reparsed), printed);
+        assert!(reparsed.find_method("Log", "<<").is_some());
     }
 
     #[test]

@@ -139,6 +139,8 @@ pub enum TokenKind {
     EqEq,
     NotEq,
     Lt,
+    /// `<<` (append / shift).
+    Shl,
     Gt,
     Le,
     Ge,
@@ -209,6 +211,7 @@ impl TokenKind {
             TokenKind::EqEq => "==",
             TokenKind::NotEq => "!=",
             TokenKind::Lt => "<",
+            TokenKind::Shl => "<<",
             TokenKind::Gt => ">",
             TokenKind::Le => "<=",
             TokenKind::Ge => ">=",

@@ -93,7 +93,7 @@ fn workload() -> (Vec<InsertedCheck>, HelperRegistry) {
             description: "Table#where".to_string(),
             expected_return: Type::Top,
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("mode_type()").unwrap(),
+                ret_expr: ruby_syntax::parse_expr("mode_type()").unwrap().into(),
                 binders: vec![Some("targ".to_string())],
                 expected: Type::nominal("Integer"),
             }),
